@@ -49,13 +49,13 @@ let () =
     lib.runtime_us lib.algorithm (lib.runtime_us /. ate.best_runtime_us);
 
   (* The tuned configuration as a readable artifact: the kernel template it
-     denotes, its roofline breakdown, and a tuning-log line that future
-     sessions (Cnn.Runner.prime_from_log) can reuse without re-searching. *)
+     denotes, its roofline breakdown, and the content key and compact
+     encoding a result cache stores it under. *)
   Printf.printf "\nKernel template of the winning configuration:\n%s\n"
     (Core.Template.render arch spec ate.best_config);
   Printf.printf "\nRoofline:\n%s\n"
     (Gpu_sim.Roofline.to_string
        (Gpu_sim.Roofline.analyze arch (Core.Config.to_kernel arch spec ate.best_config)));
-  let entry = Core.Tuning_log.entry_of_result arch spec ate in
-  Printf.printf "\nTuning-log record (append to a .log file to reuse):\n%s\n"
-    (Core.Tuning_log.to_line entry)
+  Printf.printf "\nResult-cache key and compact config:\n%s\n%s\n"
+    (Core.Search_space.canonical ate_space)
+    (Core.Config.to_compact ate.best_config)

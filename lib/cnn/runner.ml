@@ -5,6 +5,8 @@ type layer_timing = {
   ours_us : float;
   ours_algorithm : string;
   ours_result : Core.Tuner.result option;
+  ours_replayed : bool;
+  live : int;
   library_us : float;
   library_algorithm : string;
 }
@@ -18,103 +20,102 @@ type model_timing = {
   health : Core.Supervisor.report option;
 }
 
-let cache : (string, Core.Tuner.result) Hashtbl.t = Hashtbl.create 64
+(* A memoised result and its provenance: [replayed] when it was read from
+   the result cache rather than tuned in this process. *)
+type memo_entry = { result : Core.Tuner.result; replayed : bool }
 
-let clear_cache () = Hashtbl.reset cache
+let memo : (string, memo_entry) Hashtbl.t = Hashtbl.create 64
 
-let cache_key (arch : Gpu_sim.Arch.t) spec algorithm seed =
-  Printf.sprintf "%s|%s|%s|%d" arch.name
-    (Conv.Conv_spec.to_string spec)
-    (Core.Config.algorithm_to_string algorithm)
-    seed
+let clear_cache () = Hashtbl.reset memo
 
-(* --- persistence: prime/flush the memo table through Core.Tuning_log --- *)
+(* Full precision: [Gpu_sim.Faults.to_string] rounds, and two profiles that
+   differ anywhere can tune differently. *)
+let faults_key = function
+  | None -> "none"
+  | Some (p : Gpu_sim.Faults.profile) ->
+    Printf.sprintf "%h,%h,%h,%h,%h,%h,%h,%d" p.timeout_rate p.timeout_cost_us
+      p.launch_shmem_frac p.outlier_rate p.outlier_scale_min p.outlier_scale_max
+      p.nan_rate p.fault_seed
 
-let prime_from_log ?(seed = 0) path =
-  (* [load] salvages what a torn write or bit flip left and warns about the
-     loss on stderr; priming proceeds with every record that validated. *)
-  let { Core.Tuning_log.entries; _ } = Core.Tuning_log.load path in
-  let best = Core.Tuning_log.best_per_key entries in
-  let primed = ref 0 in
-  Hashtbl.iter
-    (fun _ (e : Core.Tuning_log.entry) ->
-      let key =
-        Printf.sprintf "%s|%s|%s|%d" e.arch_name e.spec_key
-          (Core.Config.algorithm_to_string e.config.algorithm)
-          seed
-      in
-      if not (Hashtbl.mem cache key) then begin
-        incr primed;
-        Hashtbl.add cache key
-          {
-            Core.Tuner.best_config = e.config;
-            best_runtime_us = e.runtime_us;
-            best_gflops = 0.0;
-            measurements = 0;
-            converged_at = 0;
-            history = [];
-            space_size = 0.0;
-            faults = Core.Tuner.no_faults;
-            stop = Core.Tuner.Converged;
-          }
-      end)
-    best;
-  !primed
+let journal_path dir key = Filename.concat dir (Verify.Audit.content_key key ^ ".journal")
 
-let save_log path =
-  let entries = ref [] in
-  Hashtbl.iter
-    (fun key (result : Core.Tuner.result) ->
-      match String.split_on_char '|' key with
-      | [ arch_name; spec_key; _alg; _seed ] ->
-        entries :=
-          {
-            Core.Tuning_log.arch_name;
-            spec_key;
-            runtime_us = result.best_runtime_us;
-            config = result.best_config;
-          }
-          :: !entries
-      | _ -> ())
-    cache;
-  Core.Tuning_log.save path !entries;
-  List.length !entries
+let remember ~key ~replayed result =
+  let entry = { result; replayed } in
+  Hashtbl.replace memo key entry;
+  entry
 
-(* A filesystem-safe journal filename for one memo key: readable prefix plus
-   a hash suffix to keep distinct keys from colliding after sanitising. *)
-let journal_path dir key =
-  let safe =
-    String.map (fun c -> if c = '|' || c = ' ' || c = '/' then '_' else c) key
-  in
-  Filename.concat dir (Printf.sprintf "%s-%08x.journal" safe (Hashtbl.hash key))
+(* A cache entry as a memoisable result.  The search history is gone — only
+   the answer survives — so [stop] is a placeholder that [replayed] flags. *)
+let result_of_entry (e : Service.Result_cache.entry) =
+  {
+    Core.Tuner.best_config = e.config;
+    best_runtime_us = e.runtime_us;
+    best_gflops = e.gflops;
+    measurements = e.trials;
+    converged_at = 0;
+    history = [];
+    space_size = 0.0;
+    faults = Core.Tuner.no_faults;
+    stop = Core.Tuner.Converged;
+  }
 
-let tuned_runtime ?(seed = 0) ?(max_measurements = 200) ?faults ?journal_dir arch spec
-    algorithm =
-  let key = cache_key arch spec algorithm seed in
-  match Hashtbl.find_opt cache key with
-  | Some result -> result
+(* The entry a memo key already has: the memo's own, else the cache's —
+   memoised as replayed, so later calls (and later models sharing the
+   shape) keep its provenance. *)
+let recall cache ~key ~canonical =
+  match Hashtbl.find_opt memo key with
+  | Some _ as hit -> hit
+  | None ->
+    Option.bind cache (fun cache -> Service.Result_cache.find cache ~canonical)
+    |> Option.map (fun e -> remember ~key ~replayed:true (result_of_entry e))
+
+(* A live result goes to the cache once, priced the way the auditor
+   re-derives it on every later read. *)
+let write_back cache ~source arch spec ~canonical (r : Core.Tuner.result) =
+  Option.iter
+    (fun cache ->
+      Service.Result_cache.put cache
+        {
+          Service.Result_cache.key = Service.Result_cache.key_of_canonical canonical;
+          canonical;
+          source;
+          runtime_us = r.best_runtime_us;
+          gflops = r.best_gflops;
+          predicted_us = Verify.Audit.predicted_us arch spec r.best_config;
+          trials = r.measurements;
+          config = r.best_config;
+        })
+    cache
+
+(* The domain's content key (the cache's), and the memo key: that plus every
+   other input that decides a tuning result. *)
+let keys arch spec algorithm ~seed ~max_measurements ~faults =
+  let canonical = Core.Search_space.canonical_key arch spec algorithm ~pruned:true in
+  ( canonical,
+    Printf.sprintf "%s;seed=%d;budget=%d;faults=%s" canonical seed max_measurements
+      (faults_key faults) )
+
+(* One candidate: memo, then cache, then a live tune.  The flag says
+   whether a tune ran. *)
+let resolve ?cache ~seed ~max_measurements ?faults ?journal_dir arch spec algorithm =
+  let canonical, key = keys arch spec algorithm ~seed ~max_measurements ~faults in
+  match recall cache ~key ~canonical with
+  | Some entry -> (entry, false)
   | None ->
     let journal = Option.map (fun dir -> journal_path dir key) journal_dir in
     let space = Core.Search_space.make arch spec algorithm in
     let result = Core.Tuner.tune ~seed ~max_measurements ?faults ?journal ~space () in
-    Hashtbl.add cache key result;
-    result
+    write_back cache ~source:Service.Protocol.Src_tuned arch spec ~canonical result;
+    (remember ~key ~replayed:false result, true)
 
-let find_result ?(seed = 0) arch spec algorithm =
-  Hashtbl.find_opt cache (cache_key arch spec algorithm seed)
+let tuned_runtime ?(seed = 0) ?(max_measurements = 200) ?faults ?journal_dir arch spec
+    algorithm =
+  (fst (resolve ~seed ~max_measurements ?faults ?journal_dir arch spec algorithm)).result
 
-let prime_result ?(seed = 0) arch spec algorithm result =
-  let key = cache_key arch spec algorithm seed in
-  if Hashtbl.mem cache key then false
-  else begin
-    Hashtbl.add cache key result;
-    true
-  end
-
-(* --- supervised tuning: route one memo key through a Supervisor session --- *)
+(* --- supervised tuning: route one candidate through a Supervisor session --- *)
 
 (* The memoised runtime becomes whatever the outcome carries, so repeated
-   shapes cost the session nothing; a degraded task caches a synthesised
+   shapes cost the session nothing; a degraded task memoises a synthesised
    result (the analytic or breaker-salvaged best) whose [stop] records why
    the search was cut short.  The truthful outcome lives in the session's
    report either way. *)
@@ -137,27 +138,44 @@ let result_of_degraded spec reason config runtime_us faults =
     stop;
   }
 
-let supervised_outcome session ~seed ~max_measurements ?faults ?journal_dir arch spec
-    algorithm =
-  let key = cache_key arch spec algorithm seed in
-  match Hashtbl.find_opt cache key with
-  | Some result -> Core.Supervisor.record_cached session ~key result
-  | None -> (
-    match Core.Search_space.make arch spec algorithm with
-    | exception Invalid_argument msg ->
-      Core.Supervisor.record_failed session ~key (Core.Supervisor.Empty_domain msg)
-    | space ->
-      let journal = Option.map (fun dir -> journal_path dir key) journal_dir in
-      let outcome =
-        Core.Supervisor.tune_task session ~key ~seed ~max_measurements ?faults ?journal
-          ~space ()
-      in
-      (match outcome with
-      | Core.Supervisor.Tuned r | Core.Supervisor.Replayed r -> Hashtbl.add cache key r
-      | Core.Supervisor.Degraded { reason; config; runtime_us; faults } ->
-        Hashtbl.add cache key (result_of_degraded spec reason config runtime_us faults)
-      | Core.Supervisor.Failed _ -> ());
-      outcome)
+(* [resolve] under supervision: hits are recorded as free replays, a
+   degraded result is memoised but kept out of the cache (a fresh budget
+   should tune it properly), and a task that cannot start resolves to
+   [None]. *)
+let resolve_supervised session ?cache ~seed ~max_measurements ?faults ?journal_dir arch
+    spec algorithm =
+  let canonical, key = keys arch spec algorithm ~seed ~max_measurements ~faults in
+  match recall cache ~key ~canonical with
+  | Some entry ->
+    ignore (Core.Supervisor.record_cached session ~key:canonical entry.result);
+    (Some entry, false)
+  | None ->
+    let entry =
+      match Core.Search_space.make arch spec algorithm with
+      | exception Invalid_argument msg ->
+        ignore
+          (Core.Supervisor.record_failed session ~key:canonical
+             (Core.Supervisor.Empty_domain msg));
+        None
+      | space -> (
+        let journal = Option.map (fun dir -> journal_path dir key) journal_dir in
+        let live source r =
+          write_back cache ~source arch spec ~canonical r;
+          Some (remember ~key ~replayed:false r)
+        in
+        match
+          Core.Supervisor.tune_task session ~key:canonical ~seed ~max_measurements ?faults
+            ?journal ~space ()
+        with
+        | Core.Supervisor.Tuned r -> live Service.Protocol.Src_tuned r
+        | Core.Supervisor.Replayed r -> live Service.Protocol.Src_replayed r
+        | Core.Supervisor.Degraded { reason; config; runtime_us; faults } ->
+          Some
+            (remember ~key ~replayed:false
+               (result_of_degraded spec reason config runtime_us faults))
+        | Core.Supervisor.Failed _ -> None)
+    in
+    (entry, true)
 
 (* Winograd on large-e tiles makes no sense for tiny images; use F(2x2) as
    the paper does in its kernels, falling back to F(4x4) only when the output
@@ -171,6 +189,10 @@ let candidates (layer : Layer.t) =
   (if Layer.winograd_eligible layer then
      [ Core.Config.Winograd_dataflow (winograd_e layer.spec) ]
    else [])
+
+let algorithm_name = function
+  | Core.Config.Direct_dataflow -> "direct-dataflow"
+  | Core.Config.Winograd_dataflow e -> Printf.sprintf "winograd-dataflow-F(%d)" e
 
 let library_timing ~backend arch (layer : Layer.t) =
   let spec = layer.spec in
@@ -189,99 +211,68 @@ let library_timing ~backend arch (layer : Layer.t) =
   end
   else lib_direct
 
-let time_layer ?(seed = 0) ?(max_measurements = 200) ?(backend = Cudnn) ?faults
+let time_layer ?cache ?(seed = 0) ?(max_measurements = 200) ?(backend = Cudnn) ?faults
     ?journal_dir ?session arch (layer : Layer.t) =
-  let spec = layer.spec in
   let library = library_timing ~backend arch layer in
-  (* [chosen] carries the winning algorithm variant so the memoised tuning
-     result can be surfaced in [ours_result]; [None] means library fallback. *)
-  let ours_us, ours_algorithm, chosen =
+  let resolve_candidate algo =
     match session with
     | None ->
-      let direct =
-        tuned_runtime ~seed ~max_measurements ?faults ?journal_dir arch spec
-          Core.Config.Direct_dataflow
+      let entry, tuned =
+        resolve ?cache ~seed ~max_measurements ?faults ?journal_dir arch layer.spec algo
       in
-      let ours_direct =
-        (direct.best_runtime_us, "direct-dataflow", Some Core.Config.Direct_dataflow)
-      in
-      if Layer.winograd_eligible layer then begin
-        let e = winograd_e spec in
-        let wino =
-          tuned_runtime ~seed ~max_measurements ?faults ?journal_dir arch spec
-            (Core.Config.Winograd_dataflow e)
+      (Some entry, tuned)
+    | Some session ->
+      resolve_supervised session ?cache ~seed ~max_measurements ?faults ?journal_dir arch
+        layer.spec algo
+  in
+  (* Candidates resolve direct first and a later one must be strictly
+     faster to win, so ties keep the direct dataflow. *)
+  let best, live =
+    List.fold_left
+      (fun (best, live) algo ->
+        let entry, tuned = resolve_candidate algo in
+        let best =
+          match (entry, best) with
+          | Some e, Some (_, b) when e.result.best_runtime_us < b.result.best_runtime_us ->
+            Some (algo, e)
+          | Some e, None -> Some (algo, e)
+          | _ -> best
         in
-        if wino.best_runtime_us < direct.best_runtime_us then
-          ( wino.best_runtime_us,
-            Printf.sprintf "winograd-dataflow-F(%d)" e,
-            Some (Core.Config.Winograd_dataflow e) )
-        else ours_direct
-      end
-      else ours_direct
-    | Some session -> (
-      (* Same candidate policy as the unsupervised path, but every tuning
-         run goes through the supervisor: breaker trips and exhausted
-         budget shares degrade to an analytic configuration instead of
-         raising, and only a layer with no usable outcome at all falls all
-         the way back to the library kernel. *)
-      let direct =
-        supervised_outcome session ~seed ~max_measurements ?faults ?journal_dir arch
-          spec Core.Config.Direct_dataflow
-      in
-      let best =
-        Option.map
-          (fun us -> (us, "direct-dataflow", Core.Config.Direct_dataflow))
-          (Core.Supervisor.outcome_runtime_us direct)
-      in
-      let best =
-        if Layer.winograd_eligible layer then begin
-          let e = winograd_e spec in
-          let wino =
-            supervised_outcome session ~seed ~max_measurements ?faults ?journal_dir
-              arch spec (Core.Config.Winograd_dataflow e)
-          in
-          match Core.Supervisor.outcome_runtime_us wino with
-          | Some us -> (
-            match best with
-            | Some (b, _, _) when b <= us -> best
-            | _ ->
-              Some
-                ( us,
-                  Printf.sprintf "winograd-dataflow-F(%d)" e,
-                  Core.Config.Winograd_dataflow e ))
-          | None -> best
-        end
-        else best
-      in
-      match best with
-      | Some (us, name, algo) -> (us, name, Some algo)
-      | None -> (library.runtime_us, "library-fallback:" ^ library.algorithm, None))
+        (best, if tuned then live + 1 else live))
+      (None, 0) (candidates layer)
+  in
+  let ours_us, ours_algorithm, ours_result, ours_replayed =
+    match best with
+    | Some (algo, e) ->
+      (e.result.best_runtime_us, algorithm_name algo, Some e.result, e.replayed)
+    | None -> (library.runtime_us, "library-fallback:" ^ library.algorithm, None, false)
   in
   {
     layer;
     ours_us;
     ours_algorithm;
-    ours_result = Option.bind chosen (fun algo -> find_result ~seed arch spec algo);
+    ours_result;
+    ours_replayed;
+    live;
     library_us = library.runtime_us;
     library_algorithm = library.algorithm;
   }
 
-let time_model ?seed ?max_measurements ?backend ?faults ?journal_dir ?supervise arch
-    (model : Models.t) =
+let time_model ?cache ?seed ?max_measurements ?backend ?faults ?journal_dir ?supervise
+    arch (model : Models.t) =
   let session =
     Option.map
       (fun policy ->
         let tasks =
-          List.fold_left
-            (fun acc (l : Layer.t) -> acc + if Layer.winograd_eligible l then 2 else 1)
-            0 model.layers
+          List.fold_left (fun acc l -> acc + List.length (candidates l)) 0 model.layers
         in
         Core.Supervisor.create ~policy ~tasks ())
       supervise
   in
   let layers =
     List.map
-      (time_layer ?seed ?max_measurements ?backend ?faults ?journal_dir ?session arch)
+      (time_layer ?cache ?seed ?max_measurements ?backend ?faults ?journal_dir ?session
+         arch)
       model.layers
   in
   let weighted f =

@@ -9,9 +9,15 @@
       domain, for the direct dataflow and — when eligible — the Winograd
       dataflow, keeping the faster.
 
-    Model time is the count-weighted sum over layers.  Tuning results are
-    memoised per (architecture, layer shape, algorithm) so repeated shapes
-    across and within models tune once. *)
+    Model time is the count-weighted sum over layers.
+
+    Tuning results live in one process-wide memo, keyed by the domain's
+    content key ([Core.Search_space.canonical_key ~pruned:true]) plus every
+    other input that decides the result: seed, trial budget and fault
+    profile.  Repeated shapes across and within models therefore tune once.
+    The memo's only durable backing is a [Service.Result_cache] passed as
+    [cache]: a memo miss reads the (audited) cache before tuning, and a
+    live tune is written back to it. *)
 
 type backend = Cudnn | Miopen
 
@@ -24,6 +30,13 @@ type layer_timing = {
           configuration, measured runtime, stop reason — for harnesses
           (the golden-file sweep) that need more than the headline time.
           [None] when the layer fell back to the library kernel. *)
+  ours_replayed : bool;
+      (** [ours_result] was served from the result cache (by this call or
+          an earlier one) rather than tuned in this process: its [stop] is
+          a placeholder, since the search history did not survive. *)
+  live : int;
+      (** candidate tuning runs this call performed; memo and cache hits
+          cost none *)
   library_us : float;
   library_algorithm : string;
 }
@@ -41,71 +54,58 @@ type model_timing = {
 }
 
 val clear_cache : unit -> unit
-(** Drops memoised tuning results (tests use this for isolation). *)
-
-val prime_from_log : ?seed:int -> string -> int
-(** Loads a [Core.Tuning_log] file into the memo table (skipping keys already
-    present) and returns how many entries were primed.  Primed results carry
-    the best configuration and runtime only (no search history). *)
-
-val save_log : string -> int
-(** Writes the memo table's best configurations to a tuning-log file;
-    returns the number of entries written. *)
+(** Drops the memo (tests use this for isolation; a result cache passed as
+    [cache] is untouched). *)
 
 val candidates : Layer.t -> Core.Config.algorithm list
 (** The algorithm variants {!time_layer} tunes for a layer: the direct
     dataflow always, plus the Winograd dataflow at the layer's tile
-    parameter when eligible.  Exposed so warm-cache harnesses can prime
-    exactly the keys a timing run will ask for. *)
-
-val find_result :
-  ?seed:int -> Gpu_sim.Arch.t -> Conv.Conv_spec.t -> Core.Config.algorithm ->
-  Core.Tuner.result option
-(** The memoised result for one (architecture, layer shape, algorithm) key,
-    if that key has been tuned or primed in this process.  Seed defaults
-    to 0, matching {!tuned_runtime}. *)
-
-val prime_result :
-  ?seed:int -> Gpu_sim.Arch.t -> Conv.Conv_spec.t -> Core.Config.algorithm ->
-  Core.Tuner.result -> bool
-(** Inserts a result into the memo table (e.g. replayed from a
-    [Service.Result_cache]), so subsequent {!time_layer} calls on the same
-    key answer without tuning.  Returns [false] — and changes nothing —
-    when the key is already present. *)
+    parameter when eligible. *)
 
 val time_layer :
+  ?cache:Service.Result_cache.t ->
   ?seed:int -> ?max_measurements:int -> ?backend:backend ->
   ?faults:Gpu_sim.Faults.profile -> ?journal_dir:string ->
   ?session:Core.Supervisor.session ->
   Gpu_sim.Arch.t -> Layer.t -> layer_timing
-(** Defaults: seed 0, 200 measurements per tuning run, cuDNN backend, no
-    injected faults, no journal, no supervision.
+(** Defaults: no result cache, seed 0, 200 measurements per tuning run,
+    cuDNN backend, no injected faults, no journal, no supervision.
+
+    With [cache], a memo miss is answered from the cache when it holds the
+    key (free, and marked [ours_replayed]); otherwise the candidate is
+    tuned and the result appended to the cache, priced by
+    [Verify.Audit.predicted_us].  The cache is looked up by content key
+    alone, so its generation must name the seed, budget and fault profile
+    the call uses.
 
     With [session], every tuning run goes through
     [Core.Supervisor.tune_task]: a run whose circuit breaker trips or whose
     budget share expires degrades to an analytic configuration (recorded in
-    the session, runtime still usable), and a layer with no usable tuning
-    outcome at all reports the library kernel as its own
+    the session and the memo, never in the cache), and a layer with no
+    usable tuning outcome at all reports the library kernel as its own
     ([ours_algorithm = "library-fallback:..."]) instead of raising.  Memo
-    cache hits are recorded as replayed tasks that cost the budget
+    and cache hits are recorded as replayed tasks that cost the budget
     nothing. *)
 
 val time_model :
+  ?cache:Service.Result_cache.t ->
   ?seed:int -> ?max_measurements:int -> ?backend:backend ->
   ?faults:Gpu_sim.Faults.profile -> ?journal_dir:string ->
   ?supervise:Core.Supervisor.policy ->
   Gpu_sim.Arch.t -> Models.t -> model_timing
-(** [supervise] times the model under a fresh supervision session — one
-    budgeted task per (layer shape, algorithm) candidate — and fills
-    [health].  Absent faults and with an unbounded budget the layer
-    timings are identical to the unsupervised run's. *)
+(** {!time_layer} over every layer.  [supervise] times the model under a
+    fresh supervision session — one budgeted task per (layer shape,
+    algorithm) candidate — and fills [health].  Absent faults and with an
+    unbounded budget the layer timings are identical to the unsupervised
+    run's. *)
 
 val tuned_runtime :
   ?seed:int -> ?max_measurements:int ->
   ?faults:Gpu_sim.Faults.profile -> ?journal_dir:string ->
   Gpu_sim.Arch.t -> Conv.Conv_spec.t -> Core.Config.algorithm -> Core.Tuner.result
-(** The memoised tuning entry point used by [time_layer]; exposed for the
-    benches so figures reuse the same cache.  [faults] injects measurement
-    faults; [journal_dir] makes each tuning run journal-backed (one file per
-    memo key under the directory), so a killed model-timing run resumes its
-    in-flight layer instead of re-measuring it from scratch. *)
+(** One candidate through the memo, without a result cache; exposed for
+    the benches so figures reuse the same memo.  [faults] injects
+    measurement faults; [journal_dir] makes each tuning run journal-backed
+    (one file per memo key under the directory), so a killed model-timing
+    run resumes its in-flight layer instead of re-measuring it from
+    scratch. *)

@@ -69,7 +69,8 @@ val flops : Conv.Conv_spec.t -> t -> float
     transform overhead for Winograd. *)
 
 val to_compact : t -> string
-(** Stable single-token encoding for tuning logs (no spaces or tabs). *)
+(** Stable single-token encoding for result caches, journals and gold files
+    (no spaces or tabs). *)
 
 val of_compact : string -> t option
 (** Inverse of [to_compact]; [None] on malformed input. *)

@@ -19,7 +19,6 @@ module Explorer = Explorer
 module Tuner = Tuner
 module Supervisor = Supervisor
 module Baselines = Baselines
-module Tuning_log = Tuning_log
 module Tune_journal = Tune_journal
 module Model_checkpoint = Model_checkpoint
 module Template = Template

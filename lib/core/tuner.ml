@@ -1,7 +1,3 @@
-let log_src = Logs.Src.create "conv_io.tuner" ~doc:"Auto-tuning engine progress"
-
-module Log = (val Logs.src_log log_src : Logs.LOG)
-
 type progress = { measurement : int; best_runtime_us : float }
 
 type fault_stats = {
@@ -202,11 +198,7 @@ let tune_outcome ?(seed = 0) ?(batch_size = 16) ?(patience = 8) ?(max_measuremen
     Cost_model.add_measurement model cfg runtime;
     (match !best with
     | Some (_, best_runtime) when best_runtime <= runtime -> ()
-    | _ ->
-      Log.debug (fun m ->
-          m "measurement #%d improved best to %.2f us (%s)" !count runtime
-            (Config.to_string cfg));
-      best := Some (cfg, runtime));
+    | _ -> best := Some (cfg, runtime));
     let best_runtime = match !best with Some (_, r) -> r | None -> runtime in
     history := { measurement = !count; best_runtime_us = best_runtime } :: !history
   in
@@ -226,11 +218,7 @@ let tune_outcome ?(seed = 0) ?(batch_size = 16) ?(patience = 8) ?(max_measuremen
           (s.deadlines_exceeded
           + match failure with Gpu_sim.Measure.Deadline_exceeded _ -> 1 | _ -> 0);
         last_failure = Some failure;
-      };
-    Log.debug (fun m ->
-        m "measurement failed (%s): %s"
-          (Gpu_sim.Measure.failure_to_string failure)
-          (Config.to_string cfg))
+      }
   in
   let absorb (l : Gpu_sim.Measure.attempt_log) =
     let s = !stats in
@@ -344,18 +332,11 @@ let tune_outcome ?(seed = 0) ?(batch_size = 16) ?(patience = 8) ?(max_measuremen
          (max 0 (min batch_size max_measurements - 1))
          (fun _ -> Search_space.sample space rng));
   let stale = ref 0 in
-  let round = ref 0 in
   while
     !stale < patience && !trials < max_measurements
     && (not (tripped ()))
     && not (deadline_hit ())
   do
-    incr round;
-    Log.debug (fun m ->
-        m "round %d: %d measurements (%d failed), model %s" !round !count !stats.failed
-          (if Cost_model.trained model then
-             Printf.sprintf "rmse(log) %.3f" (Cost_model.rmse_log model)
-           else "untrained"));
     let best_before = match !best with Some (_, r) -> r | None -> infinity in
     retrain_or_restore ();
     let starts =

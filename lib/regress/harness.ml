@@ -122,7 +122,6 @@ let run ?models ?arches ?settings ?tolerance ?cache_path ?bench_path ~gold_dir
      and regress takes its warmth from the cache file, not from whatever an
      earlier in-process run happened to memoise. *)
   Cnn.Runner.clear_cache ();
-  Sweep.reset_replays ();
   let cache =
     Option.map
       (fun path ->

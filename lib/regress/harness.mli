@@ -8,12 +8,12 @@
     byte-identical files; the live-tuned results are flushed to the result
     cache so the next regress run is warm.
 
-    [Regress] re-sweeps {e warm} (runner memo primed from the result cache),
-    diffs every pair against its golden file with {!Gold.compare_files}, and
-    writes MapGraph-style markers into [out_dir]: a [.pass] file per clean
-    pair (stale markers are removed on failure) and a [.timing] file per
-    pair always.  Both modes can aggregate the sweep into a
-    [BENCH_fleet.json] trajectory file. *)
+    [Regress] re-sweeps {e warm} (runner memo misses are answered from the
+    result cache), diffs every pair against its golden file with
+    {!Gold.compare_files}, and writes MapGraph-style markers into
+    [out_dir]: a [.pass] file per clean pair (stale markers are removed on
+    failure) and a [.timing] file per pair always.  Both modes can
+    aggregate the sweep into a [BENCH_fleet.json] trajectory file. *)
 
 type mode = Gold | Regress
 

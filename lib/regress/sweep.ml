@@ -25,96 +25,9 @@ type pair = {
   warm : int;
 }
 
-(* Which memo keys were answered from the result cache rather than tuned in
-   this process.  Process-lifetime (pairs share the runner's memo table, so a
-   key primed while sweeping ResNet-18 is still a replay when ResNet-34 hits
-   the same shape); the harness resets it together with the memo table. *)
-let replayed : (string, unit) Hashtbl.t = Hashtbl.create 64
-
-let reset_replays () = Hashtbl.reset replayed
-
-let canonical_of arch spec algorithm =
-  Core.Search_space.canonical_key arch spec algorithm ~pruned:true
-
 (* The per-layer optimality gap and the analytic price both come from the
    auditor — gold files must reprice bit-identically through the same code
    path [Verify.Audit.check] uses, or audit-on-read would reject them. *)
-let q_ratio = Verify.Audit.q_ratio
-let predicted_us = Verify.Audit.predicted_us
-
-(* Rebuild a memoisable tuner result from a cache entry.  The search history
-   is gone — only the answer survives — so [stop] is a placeholder; sweep
-   records mark these keys ["replayed"] (via the registry above) and the
-   diff skips their stop/trials fields. *)
-let result_of_entry (e : Service.Result_cache.entry) =
-  {
-    Core.Tuner.best_config = e.config;
-    best_runtime_us = e.runtime_us;
-    best_gflops = e.gflops;
-    measurements = e.trials;
-    converged_at = 0;
-    history = [];
-    space_size = 0.0;
-    faults = Core.Tuner.no_faults;
-    stop = Core.Tuner.Converged;
-  }
-
-let prime_pair ~cache ~settings arch (model : Cnn.Models.t) =
-  match cache with
-  | None -> ()
-  | Some cache ->
-    List.iter
-      (fun (l : Cnn.Layer.t) ->
-        List.iter
-          (fun algo ->
-            match Cnn.Runner.find_result ~seed:settings.seed arch l.spec algo with
-            | Some _ -> ()
-            | None -> (
-              let canonical = canonical_of arch l.spec algo in
-              match Service.Result_cache.find cache ~canonical with
-              | None -> ()
-              | Some entry ->
-                if
-                  Cnn.Runner.prime_result ~seed:settings.seed arch l.spec algo
-                    (result_of_entry entry)
-                then Hashtbl.replace replayed canonical ()))
-          (Cnn.Runner.candidates l))
-      model.layers
-
-let writeback ~cache ~settings arch (model : Cnn.Models.t) =
-  match cache with
-  | None -> ()
-  | Some cache ->
-    List.iter
-      (fun (l : Cnn.Layer.t) ->
-        List.iter
-          (fun algo ->
-            match Cnn.Runner.find_result ~seed:settings.seed arch l.spec algo with
-            | None -> ()
-            | Some (r : Core.Tuner.result) ->
-              let canonical = canonical_of arch l.spec algo in
-              let fresh (e : Service.Result_cache.entry option) =
-                match e with
-                | Some e ->
-                  e.config <> r.best_config || e.runtime_us <> r.best_runtime_us
-                | None -> true
-              in
-              if fresh (Service.Result_cache.find cache ~canonical) then
-                Service.Result_cache.put cache
-                  {
-                    Service.Result_cache.key =
-                      Service.Result_cache.key_of_canonical canonical;
-                    canonical;
-                    source = Service.Protocol.Src_tuned;
-                    runtime_us = r.best_runtime_us;
-                    gflops = r.best_gflops;
-                    predicted_us = predicted_us arch l.spec r.best_config;
-                    trials = r.measurements;
-                    config = r.best_config;
-                  })
-          (Cnn.Runner.candidates l))
-      model.layers
-
 let record_of_timing arch (lt : Cnn.Runner.layer_timing) =
   let spec = lt.layer.spec in
   let base =
@@ -135,47 +48,37 @@ let record_of_timing arch (lt : Cnn.Runner.layer_timing) =
   match lt.ours_result with
   | None -> base
   | Some (r : Core.Tuner.result) ->
-    let canonical = canonical_of arch spec r.best_config.algorithm in
     {
       base with
       config = Core.Config.to_compact r.best_config;
-      predicted_us = predicted_us arch spec r.best_config;
-      q_ratio = q_ratio arch spec r.best_config;
-      stop =
-        (if Hashtbl.mem replayed canonical then "replayed" else Gold.stop_token r.stop);
+      predicted_us = Verify.Audit.predicted_us arch spec r.best_config;
+      q_ratio = Verify.Audit.q_ratio arch spec r.best_config;
+      (* A result read from the cache has no stop reason of its own. *)
+      stop = (if lt.ours_replayed then "replayed" else Gold.stop_token r.stop);
       trials = r.measurements;
     }
 
-(* Distinct candidate memo keys of a model on one architecture — the unit of
-   the live/warm accounting (repeated shapes within and across models share
-   one key). *)
-let candidate_keys arch (model : Cnn.Models.t) =
-  let keys = Hashtbl.create 32 in
-  List.iter
+(* Distinct candidate keys of a model on one architecture — the unit of the
+   live/warm accounting (repeated shapes within and across models share one
+   key). *)
+let distinct_candidates arch (model : Cnn.Models.t) =
+  List.concat_map
     (fun (l : Cnn.Layer.t) ->
-      List.iter
-        (fun algo -> Hashtbl.replace keys (canonical_of arch l.spec algo) (l.spec, algo))
+      List.map
+        (fun algo -> Core.Search_space.canonical_key arch l.spec algo ~pruned:true)
         (Cnn.Runner.candidates l))
-    model.layers;
-  keys
+    model.layers
+  |> List.sort_uniq String.compare |> List.length
 
 let run_pair ?cache ~settings arch (model : Cnn.Models.t) =
   let t0 = Unix.gettimeofday () in
-  prime_pair ~cache ~settings arch model;
-  let keys = candidate_keys arch model in
-  let warm =
-    Hashtbl.fold
-      (fun _ (spec, algo) n ->
-        match Cnn.Runner.find_result ~seed:settings.seed arch spec algo with
-        | Some _ -> n + 1
-        | None -> n)
-      keys 0
-  in
   let timing =
-    Cnn.Runner.time_model ~seed:settings.seed ~max_measurements:settings.budget
+    Cnn.Runner.time_model ?cache ~seed:settings.seed ~max_measurements:settings.budget
       ~backend:settings.backend arch model
   in
-  writeback ~cache ~settings arch model;
+  let live =
+    List.fold_left (fun n (lt : Cnn.Runner.layer_timing) -> n + lt.live) 0 timing.layers
+  in
   let gold =
     {
       Gold.meta =
@@ -195,8 +98,8 @@ let run_pair ?cache ~settings arch (model : Cnn.Models.t) =
     gold;
     timing;
     wall_s = Unix.gettimeofday () -. t0;
-    live = Hashtbl.length keys - warm;
-    warm;
+    live;
+    warm = distinct_candidates arch model - live;
   }
 
 let summary_table pairs =

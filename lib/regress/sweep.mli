@@ -8,12 +8,11 @@
     and analytically-predicted runtime, library baseline, Q-bound ratio and
     stop reason.
 
-    Warm layer: before timing, every candidate (layer, algorithm) key that a
-    [Service.Result_cache] already holds is primed into the runner's memo
-    table ([Cnn.Runner.prime_result]), so a regress run replays the fleet
-    from the shared cache instead of re-tuning it; records answered this way
-    carry [stop = "replayed"].  Live-tuned results are written back, so
-    [gold] leaves behind a cache that makes the next [regress] warm. *)
+    Warm layer: a [Service.Result_cache] passed to {!run_pair} goes straight
+    to the runner, which answers memo misses from it and writes live tunes
+    back, so [gold] leaves behind a cache that makes the next [regress]
+    warm.  Records whose result the runner reports as read from the cache
+    carry [stop = "replayed"]. *)
 
 type settings = {
   seed : int;
@@ -40,11 +39,6 @@ val fleet_models : unit -> Cnn.Models.t list
 val fleet_arches : unit -> Gpu_sim.Arch.t list
 (** [Gpu_sim.Arch.all]: 1080ti, v100, titanx, gfx906. *)
 
-val reset_replays : unit -> unit
-(** Forgets which memo keys were served from the result cache.  The harness
-    calls it next to [Cnn.Runner.clear_cache] — the two tables describe the
-    same process-lifetime memo and must reset together. *)
-
 type pair = {
   model : Cnn.Models.t;
   arch : Gpu_sim.Arch.t;
@@ -58,9 +52,8 @@ type pair = {
 val run_pair :
   ?cache:Service.Result_cache.t -> settings:settings -> Gpu_sim.Arch.t ->
   Cnn.Models.t -> pair
-(** Sweeps one pair.  With [cache], primes the runner from it first and
-    writes live-tuned results back (idempotently: an entry identical to the
-    cached one is not re-appended).  Within one process, keys already
+(** Sweeps one pair, passing [cache] to the runner.  The cache's generation
+    should be {!generation}[ settings].  Within one process, keys already
     memoised by earlier pairs (repeated shapes across models) count as
     [warm]. *)
 

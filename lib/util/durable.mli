@@ -1,5 +1,6 @@
 (** Crash-safe, checksummed record files — the durability layer under every
-    on-disk artifact (tune journals, tuning logs, model checkpoints).
+    on-disk artifact (tune journals, model checkpoints, result caches, gold
+    files).
 
     A durable file is line-oriented:
 
@@ -17,7 +18,7 @@
 
     Payloads are opaque byte strings without newlines (tabs are fine: the
     checksum field sits at a fixed offset).  The [kind] tag names the
-    logical format ("tune-journal", "tuning-log", ...) so a file of one kind
+    logical format ("tune-journal", "service-cache", ...) so a file of one kind
     can never be mistakenly parsed as another. *)
 
 val crc32 : string -> int32

@@ -29,7 +29,8 @@ type check = {
 }
 
 val compulsory_io : Dag.Graph.t -> int
-(** Used inputs (those with at least one successor) + outputs. *)
+(** Used inputs (those with at least one successor) + outputs (sinks that
+    are not inputs). *)
 
 val conv_instance :
   ?stride:int -> w:int -> h:int -> kw:int -> kh:int -> cin:int -> cout:int -> unit ->

@@ -152,22 +152,77 @@ let test_runner_model_aggregates () =
   Alcotest.(check (float 1e-9)) "speedup consistent" (t.library_total_us /. t.ours_total_us)
     t.speedup
 
-let test_runner_log_roundtrip () =
-  Cnn.Runner.clear_cache ();
-  let spec = Spec.square ~c_in:8 ~size:12 ~c_out:8 ~k:3 () in
-  let fresh = Cnn.Runner.tuned_runtime ~max_measurements:60 arch spec Core.Config.Direct_dataflow in
-  let path = Filename.temp_file "runner" ".log" in
-  let written = Cnn.Runner.save_log path in
-  Alcotest.(check int) "one entry written" 1 written;
-  Cnn.Runner.clear_cache ();
-  let primed = Cnn.Runner.prime_from_log path in
-  Alcotest.(check int) "one entry primed" 1 primed;
-  (* A primed cache answers without re-tuning and with the logged runtime. *)
-  let reused = Cnn.Runner.tuned_runtime ~max_measurements:60 arch spec Core.Config.Direct_dataflow in
-  Alcotest.(check int) "no measurements spent" 0 reused.measurements;
-  Alcotest.(check (float 1e-4)) "same runtime" fresh.best_runtime_us reused.best_runtime_us;
-  Alcotest.(check bool) "same config" true (reused.best_config = fresh.best_config);
+let temp_cache prefix =
+  let path = Filename.temp_file prefix ".cache" in
   Sys.remove path;
+  path
+
+let remove_cache path =
+  List.iter
+    (fun p -> if Sys.file_exists p then Sys.remove p)
+    [ path; path ^ ".quarantine" ]
+
+(* The result cache is the memo's durable backing: a live tune is written
+   back once; after the memo is dropped, a reloaded (audited) cache answers
+   the same layer without tuning, bit-identically, flagged as replayed —
+   and the memo keeps that provenance on later hits. *)
+let test_runner_cache_roundtrip () =
+  Cnn.Runner.clear_cache ();
+  let path = temp_cache "runner" in
+  let generation = "runner-test" in
+  (* 1x1 kernel: the direct dataflow is the only candidate. *)
+  let layer = Cnn.Layer.make "r" (Spec.square ~c_in:8 ~size:12 ~c_out:8 ~k:1 ()) in
+  let cache = Service.Result_cache.load ~audit:true ~generation path in
+  let fresh = Cnn.Runner.time_layer ~cache ~max_measurements:60 arch layer in
+  Alcotest.(check int) "tuned live" 1 fresh.live;
+  Alcotest.(check bool) "live result not replayed" false fresh.ours_replayed;
+  Alcotest.(check int) "written back once" 1 (Service.Result_cache.entries cache);
+  Cnn.Runner.clear_cache ();
+  let cache = Service.Result_cache.load ~audit:true ~generation path in
+  let reused = Cnn.Runner.time_layer ~cache ~max_measurements:60 arch layer in
+  Alcotest.(check int) "no live tune" 0 reused.live;
+  Alcotest.(check bool) "served from the cache" true reused.ours_replayed;
+  Alcotest.(check (float 0.0)) "same runtime" fresh.ours_us reused.ours_us;
+  (match (fresh.ours_result, reused.ours_result) with
+  | Some f, Some r ->
+    Alcotest.(check bool) "same config" true (f.best_config = r.best_config);
+    Alcotest.(check int) "trial count kept" f.measurements r.measurements
+  | _ -> Alcotest.fail "ours_result missing");
+  Alcotest.(check int) "nothing quarantined" 0 (Service.Result_cache.quarantined cache);
+  let again = Cnn.Runner.time_layer ~max_measurements:60 arch layer in
+  Alcotest.(check bool) "memo keeps provenance" true (again.ours_replayed && again.live = 0);
+  remove_cache path;
+  Cnn.Runner.clear_cache ()
+
+(* The memo key carries every input that decides a result.  Without a
+   [clear_cache] between the calls, a larger budget and then a fault profile
+   on an already-tuned shape must each answer exactly what a cold run with
+   those settings answers, not the earlier result. *)
+let test_memo_key_settings () =
+  Cnn.Runner.clear_cache ();
+  let spec = Spec.square ~c_in:16 ~size:14 ~c_out:32 ~k:3 ~pad:1 () in
+  let tune ?faults budget =
+    Cnn.Runner.tuned_runtime ?faults ~max_measurements:budget arch spec
+      Core.Config.Direct_dataflow
+  in
+  let same (a : Core.Tuner.result) (b : Core.Tuner.result) =
+    a.best_config = b.best_config
+    && a.best_runtime_us = b.best_runtime_us
+    && a.measurements = b.measurements && a.faults = b.faults
+  in
+  let short = tune 20 in
+  let long = tune 60 in
+  let faulty = tune ~faults:Gpu_sim.Faults.default 60 in
+  Cnn.Runner.clear_cache ();
+  let cold_long = tune 60 in
+  Cnn.Runner.clear_cache ();
+  let cold_faulty = tune ~faults:Gpu_sim.Faults.default 60 in
+  Alcotest.(check bool) "budgets tune differently" false (same short cold_long);
+  Alcotest.(check bool) "larger budget not served the 20-trial result" true
+    (same long cold_long);
+  Alcotest.(check bool) "faults tune differently" false (same cold_long cold_faulty);
+  Alcotest.(check bool) "fault profile not served the clean result" true
+    (same faulty cold_faulty);
   Cnn.Runner.clear_cache ()
 
 let test_figure12_shape () =
@@ -245,40 +300,44 @@ let test_memo_replayed_accounting () =
     cold.layers warm.layers;
   Cnn.Runner.clear_cache ()
 
-(* [prime_result]/[find_result]: a primed key answers without tuning and
-   surfaces through [layer_timing.ours_result]. *)
+(* A result primed into the cache is found by the runner: it answers
+   without tuning, surfaces through [layer_timing.ours_result] flagged as
+   replayed, and stays in the one memo for callers without a cache. *)
 let test_prime_and_find_result () =
   Cnn.Runner.clear_cache ();
   (* 1x1 kernel: not Winograd-eligible, so the direct dataflow is the only
      candidate and the primed result must win outright. *)
   let spec = Spec.square ~c_in:8 ~size:12 ~c_out:8 ~k:1 () in
   let space = Core.Search_space.make arch spec Core.Config.Direct_dataflow in
-  let fake =
+  let canonical = Core.Search_space.canonical space in
+  let config = Core.Search_space.default_config space in
+  let path = temp_cache "prime" in
+  (* Unaudited: the fabricated runtime would (rightly) fail the audit. *)
+  let cache = Service.Result_cache.load ~generation:"prime-test" path in
+  Service.Result_cache.put cache
     {
-      Core.Tuner.best_config = Core.Search_space.default_config space;
-      best_runtime_us = 0.125;
-      best_gflops = 1.0;
-      measurements = 7;
-      converged_at = 0;
-      history = [];
-      space_size = 0.0;
-      faults = Core.Tuner.no_faults;
-      stop = Core.Tuner.Converged;
-    }
-  in
-  Alcotest.(check bool) "nothing memoised yet" true
-    (Cnn.Runner.find_result arch spec Core.Config.Direct_dataflow = None);
-  Alcotest.(check bool) "primed" true
-    (Cnn.Runner.prime_result arch spec Core.Config.Direct_dataflow fake);
-  Alcotest.(check bool) "second prime refused" false
-    (Cnn.Runner.prime_result arch spec Core.Config.Direct_dataflow fake);
-  let t = Cnn.Runner.time_layer ~max_measurements:60 arch (Cnn.Layer.make "p" spec) in
+      Service.Result_cache.key = Service.Result_cache.key_of_canonical canonical;
+      canonical;
+      source = Service.Protocol.Src_tuned;
+      runtime_us = 0.125;
+      gflops = 1.0;
+      predicted_us = 0.125;
+      trials = 7;
+      config;
+    };
+  let layer = Cnn.Layer.make "p" spec in
+  let t = Cnn.Runner.time_layer ~cache ~max_measurements:60 arch layer in
   Alcotest.(check (float 0.0)) "primed runtime served" 0.125 t.ours_us;
+  Alcotest.(check int) "nothing tuned" 0 t.live;
+  Alcotest.(check bool) "flagged replayed" true t.ours_replayed;
   (match t.ours_result with
   | Some r ->
     Alcotest.(check int) "primed trial count surfaced" 7 r.measurements;
-    Alcotest.(check bool) "primed config surfaced" true (r.best_config = fake.best_config)
+    Alcotest.(check bool) "primed config surfaced" true (r.best_config = config)
   | None -> Alcotest.fail "ours_result missing for tuned layer");
+  let again = Cnn.Runner.time_layer ~max_measurements:60 arch layer in
+  Alcotest.(check (float 0.0)) "memo answers without the cache" 0.125 again.ours_us;
+  remove_cache path;
   Cnn.Runner.clear_cache ()
 
 let () =
@@ -305,10 +364,12 @@ let () =
           Alcotest.test_case "layer timing" `Slow test_runner_layer_timing;
           Alcotest.test_case "cache hit" `Slow test_runner_cache_hit;
           Alcotest.test_case "model aggregates" `Slow test_runner_model_aggregates;
-          Alcotest.test_case "log roundtrip" `Slow test_runner_log_roundtrip;
+          Alcotest.test_case "cache roundtrip" `Slow test_runner_cache_roundtrip;
           Alcotest.test_case "figure 12 shape" `Slow test_figure12_shape;
           Alcotest.test_case "memo hits are free replays" `Slow
             test_memo_replayed_accounting;
           Alcotest.test_case "prime/find result" `Quick test_prime_and_find_result;
+          Alcotest.test_case "memo key carries budget and faults" `Slow
+            test_memo_key_settings;
         ] );
     ]

@@ -660,95 +660,6 @@ let test_config_compact_roundtrip () =
   Alcotest.(check bool) "garbage rejected" true (Core.Config.of_compact "nonsense" = None);
   Alcotest.(check bool) "partial rejected" true (Core.Config.of_compact "d|CHW|1,2" = None)
 
-let test_tuning_log_roundtrip () =
-  let space = direct_space () in
-  let result = Core.Tuner.tune ~seed:5 ~max_measurements:40 ~space () in
-  let entry = Core.Tuning_log.entry_of_result arch spec_layer result in
-  (match Core.Tuning_log.of_line (Core.Tuning_log.to_line entry) with
-  | Some back ->
-    Alcotest.(check string) "arch" entry.arch_name back.arch_name;
-    Alcotest.(check string) "spec" entry.spec_key back.spec_key;
-    Alcotest.(check bool) "config" true (back.config = entry.config);
-    Alcotest.(check (float 1e-5)) "runtime" entry.runtime_us back.runtime_us
-  | None -> Alcotest.fail "line did not parse");
-  let path = Filename.temp_file "tuning" ".log" in
-  Core.Tuning_log.save path [ entry; { entry with runtime_us = entry.runtime_us *. 2.0 } ];
-  Core.Tuning_log.append path { entry with runtime_us = entry.runtime_us /. 2.0 };
-  let loaded = Core.Tuning_log.load path in
-  Alcotest.(check int) "all entries" 3 (List.length loaded.entries);
-  Alcotest.(check int) "nothing dropped" 0 loaded.dropped;
-  let best = Core.Tuning_log.best_per_key loaded.entries in
-  Alcotest.(check int) "one key" 1 (Hashtbl.length best);
-  Hashtbl.iter
-    (fun _ (e : Core.Tuning_log.entry) ->
-      Alcotest.(check (float 1e-5)) "kept fastest" (entry.runtime_us /. 2.0) e.runtime_us)
-    best;
-  Sys.remove path
-
-let test_tuning_log_skips_garbage () =
-  (* A file that was never a durable log (no header, no checksums) salvages
-     to zero entries — and the loss is *counted*, not silently skipped. *)
-  let path = Filename.temp_file "tuning" ".log" in
-  let oc = open_out path in
-  output_string oc "not a record\nv1\tbroken\n";
-  close_out oc;
-  let r = Core.Tuning_log.load path in
-  Alcotest.(check int) "garbage yields no entries" 0 (List.length r.entries);
-  Alcotest.(check int) "both lines counted dropped" 2 r.dropped;
-  Alcotest.(check bool) "reason reported" true (r.reason <> None);
-  Sys.remove path
-
-let test_tuning_log_rejects_bad_values () =
-  let space = direct_space () in
-  let entry =
-    {
-      Core.Tuning_log.arch_name = "v100";
-      spec_key = "spec";
-      runtime_us = 100.0;
-      config = Core.Search_space.default_config space;
-    }
-  in
-  let raises name e =
-    match Core.Tuning_log.to_line e with
-    | exception Invalid_argument _ -> ()
-    | _ -> Alcotest.fail (name ^ ": expected Invalid_argument")
-  in
-  raises "nan runtime" { entry with runtime_us = Float.nan };
-  raises "inf runtime" { entry with runtime_us = Float.infinity };
-  raises "negative inf" { entry with runtime_us = Float.neg_infinity };
-  raises "zero runtime" { entry with runtime_us = 0.0 };
-  raises "negative runtime" { entry with runtime_us = -3.0 };
-  raises "tab in arch" { entry with arch_name = "a\tb" };
-  raises "newline in spec" { entry with spec_key = "a\nb" };
-  (* Damage an external writer could produce is dropped on read. *)
-  let compact = Core.Config.to_compact entry.config in
-  Alcotest.(check bool) "inf line dropped" true
-    (Core.Tuning_log.of_line (Printf.sprintf "v1\tv100\tspec\tinf\t%s" compact) = None);
-  Alcotest.(check bool) "nan line dropped" true
-    (Core.Tuning_log.of_line (Printf.sprintf "v1\tv100\tspec\tnan\t%s" compact) = None);
-  Alcotest.(check bool) "good line still parses" true
-    (Core.Tuning_log.of_line (Core.Tuning_log.to_line entry) <> None)
-
-let qcheck_tuning_log_roundtrip =
-  let config = Core.Search_space.default_config (direct_space ()) in
-  let sanitize s =
-    "k" ^ String.map (fun c -> if c = '\t' || c = '\n' || c = '\r' then '_' else c) s
-  in
-  QCheck.Test.make ~name:"tuning log line roundtrip" ~count:100
-    QCheck.(triple small_printable_string small_printable_string (float_range 1e-3 1e9))
-    (fun (a, s, runtime_us) ->
-      let entry =
-        { Core.Tuning_log.arch_name = sanitize a; spec_key = sanitize s; runtime_us; config }
-      in
-      match Core.Tuning_log.of_line (Core.Tuning_log.to_line entry) with
-      | Some back ->
-        back.arch_name = entry.arch_name
-        && back.spec_key = entry.spec_key
-        && back.config = entry.config
-        (* %.6f truncates to microsecond-millionths: absolute error < 1e-6 *)
-        && Float.abs (back.runtime_us -. entry.runtime_us) < 1e-6
-      | None -> false)
-
 (* Satellite of the verification subsystem: the pruned tile set is exactly
    the brute-force filter of the unpruned one under the documented predicate
    (Optimality.satisfied with slack 2 plus the sqrt(S/R) / sqrt(SR) caps of
@@ -1138,11 +1049,6 @@ let () =
       ( "persistence",
         [
           Alcotest.test_case "config compact roundtrip" `Quick test_config_compact_roundtrip;
-          Alcotest.test_case "tuning log roundtrip" `Quick test_tuning_log_roundtrip;
-          Alcotest.test_case "tuning log skips garbage" `Quick test_tuning_log_skips_garbage;
-          Alcotest.test_case "tuning log rejects bad values" `Quick
-            test_tuning_log_rejects_bad_values;
-          QCheck_alcotest.to_alcotest qcheck_tuning_log_roundtrip;
           Alcotest.test_case "tune journal roundtrip" `Quick test_tune_journal_roundtrip;
           Alcotest.test_case "tune journal -0.0 and subnormals" `Quick
             test_tune_journal_negative_zero_and_subnormals;

@@ -287,6 +287,71 @@ let test_harness_self_test () =
   | ms -> Alcotest.failf "expected Missing_pair, got [%s]"
             (String.concat "; " (List.map Gold.mismatch_to_string ms))
 
+(* Two models sharing one layer shape, the case a process-wide memo must get
+   right.  In gold mode the second model's shared layer is a memo hit on the
+   first model's live tune, so it keeps the live stop token and both files
+   are byte-identical to a sweep without a cache.  A warm regress then
+   serves every candidate from the cache: nothing live, every record
+   "replayed". *)
+let shared_spec = Conv.Conv_spec.square ~c_in:8 ~size:12 ~c_out:8 ~k:3 ()
+
+let twin_a = { Cnn.Models.name = "Twin-A"; layers = [ Cnn.Layer.make "c1" shared_spec ] }
+
+let twin_b =
+  {
+    Cnn.Models.name = "Twin-B";
+    layers =
+      [
+        Cnn.Layer.make "c1" shared_spec;
+        Cnn.Layer.make "c2" (Conv.Conv_spec.square ~c_in:8 ~size:12 ~c_out:16 ~k:1 ());
+      ];
+  }
+
+let test_harness_shared_shape () =
+  let out_dir = temp_dir "out" and cache_dir = temp_dir "cache" in
+  let cache_path = Filename.concat cache_dir "fleet.cache" in
+  let run ?cache_path ~gold_dir mode =
+    Harness.run ~models:[ twin_a; twin_b ] ~arches:[ arch ] ~settings ?cache_path
+      ~gold_dir ~out_dir mode
+  in
+  let cached_dir = temp_dir "gold" and plain_dir = temp_dir "gold" in
+  let g = run ~cache_path ~gold_dir:cached_dir Harness.Gold in
+  ignore (run ~gold_dir:plain_dir Harness.Gold);
+  let bytes_of dir name =
+    In_channel.with_open_bin (Filename.concat dir name) In_channel.input_all
+  in
+  List.iter
+    (fun name ->
+      Alcotest.(check string)
+        (name ^ " byte-identical to a sweep without a cache")
+        (bytes_of plain_dir name) (bytes_of cached_dir name))
+    [ "twin-a.v100.gold"; "twin-b.v100.gold" ];
+  let stop_of (p : Sweep.pair) =
+    (List.find (fun (r : Gold.layer_record) -> r.layer = "c1") p.gold.layers).stop
+  in
+  (match g.reports with
+  | [ a; b ] ->
+    Alcotest.(check int) "Twin-A tunes both candidates live" 2 a.pair.live;
+    Alcotest.(check int) "Twin-B's shared candidates are warm" 2 b.pair.warm;
+    Alcotest.(check int) "Twin-B tunes only its own layer" 1 b.pair.live;
+    Alcotest.(check string) "shared layer keeps the live stop token" (stop_of a.pair)
+      (stop_of b.pair);
+    Alcotest.(check bool) "a live token, not a replay" true (stop_of b.pair <> "replayed")
+  | _ -> Alcotest.fail "expected two pair reports");
+  let r = run ~cache_path ~gold_dir:cached_dir Harness.Regress in
+  Alcotest.(check bool) "warm regress passes" false (Harness.failed r);
+  List.iter
+    (fun (rep : Harness.pair_report) ->
+      let name = rep.pair.model.Cnn.Models.name in
+      Alcotest.(check int) (name ^ ": nothing tuned live") 0 rep.pair.live;
+      List.iter
+        (fun (rec_ : Gold.layer_record) ->
+          Alcotest.(check string)
+            (Printf.sprintf "%s/%s served from cache" name rec_.layer)
+            "replayed" rec_.stop)
+        rep.pair.gold.layers)
+    r.reports
+
 let () =
   Alcotest.run "regress"
     [
@@ -308,5 +373,9 @@ let () =
           Alcotest.test_case "layer set drift" `Quick test_diff_layer_sets;
         ] );
       ( "harness",
-        [ Alcotest.test_case "perturbation self-test" `Slow test_harness_self_test ] );
+        [
+          Alcotest.test_case "perturbation self-test" `Slow test_harness_self_test;
+          Alcotest.test_case "shared layer shape across models" `Slow
+            test_harness_shared_shape;
+        ] );
     ]
