@@ -28,17 +28,6 @@ let memo : (string, memo_entry) Hashtbl.t = Hashtbl.create 64
 
 let clear_cache () = Hashtbl.reset memo
 
-(* Full precision: [Gpu_sim.Faults.to_string] rounds, and two profiles that
-   differ anywhere can tune differently. *)
-let faults_key = function
-  | None -> "none"
-  | Some (p : Gpu_sim.Faults.profile) ->
-    Printf.sprintf "%h,%h,%h,%h,%h,%h,%h,%d" p.timeout_rate p.timeout_cost_us
-      p.launch_shmem_frac p.outlier_rate p.outlier_scale_min p.outlier_scale_max
-      p.nan_rate p.fault_seed
-
-let journal_path dir key = Filename.concat dir (Verify.Audit.content_key key ^ ".journal")
-
 let remember ~key ~replayed result =
   let entry = { result; replayed } in
   Hashtbl.replace memo key entry;
@@ -87,13 +76,12 @@ let write_back cache ~source arch spec ~canonical (r : Core.Tuner.result) =
         })
     cache
 
-(* The domain's content key (the cache's), and the memo key: that plus every
-   other input that decides a tuning result. *)
+(* The domain's content key (the cache's), and the memo key: the tune's
+   identity, which also names its journal. *)
 let keys arch spec algorithm ~seed ~max_measurements ~faults =
   let canonical = Core.Search_space.canonical_key arch spec algorithm ~pruned:true in
   ( canonical,
-    Printf.sprintf "%s;seed=%d;budget=%d;faults=%s" canonical seed max_measurements
-      (faults_key faults) )
+    Service.Tune_identity.make ~canonical ~seed ~budget:max_measurements ~faults )
 
 (* One candidate: memo, then cache, then a live tune.  The flag says
    whether a tune ran. *)
@@ -102,7 +90,9 @@ let resolve ?cache ~seed ~max_measurements ?faults ?journal_dir arch spec algori
   match recall cache ~key ~canonical with
   | Some entry -> (entry, false)
   | None ->
-    let journal = Option.map (fun dir -> journal_path dir key) journal_dir in
+    let journal =
+      Option.map (fun dir -> Service.Tune_identity.journal_path ~dir key) journal_dir
+    in
     let space = Core.Search_space.make arch spec algorithm in
     let result = Core.Tuner.tune ~seed ~max_measurements ?faults ?journal ~space () in
     write_back cache ~source:Service.Protocol.Src_tuned arch spec ~canonical result;
@@ -158,7 +148,9 @@ let resolve_supervised session ?cache ~seed ~max_measurements ?faults ?journal_d
              (Core.Supervisor.Empty_domain msg));
         None
       | space -> (
-        let journal = Option.map (fun dir -> journal_path dir key) journal_dir in
+        let journal =
+      Option.map (fun dir -> Service.Tune_identity.journal_path ~dir key) journal_dir
+    in
         let live source r =
           write_back cache ~source arch spec ~canonical r;
           Some (remember ~key ~replayed:false r)

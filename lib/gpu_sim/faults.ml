@@ -47,6 +47,15 @@ let is_none p =
   p.timeout_rate = 0.0 && p.outlier_rate = 0.0 && p.nan_rate = 0.0
   && p.launch_shmem_frac = infinity
 
+(* Full precision: [to_string] rounds, and two profiles that differ anywhere
+   can tune differently. *)
+let key = function
+  | None -> "none"
+  | Some p ->
+    Printf.sprintf "%h,%h,%h,%h,%h,%h,%h,%d" p.timeout_rate p.timeout_cost_us
+      p.launch_shmem_frac p.outlier_rate p.outlier_scale_min p.outlier_scale_max
+      p.nan_rate p.fault_seed
+
 let to_string p =
   if is_none p then "none"
   else

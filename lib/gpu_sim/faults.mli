@@ -35,6 +35,11 @@ val is_none : profile -> bool
 val to_string : profile -> string
 (** One-line summary for logs and bench output. *)
 
+val key : profile option -> string
+(** An exact rendering (hex floats, every field) for keys that name a
+    tune: distinct for any two profiles that differ anywhere; ["none"] for
+    no profile. *)
+
 val block_budget_bytes : Arch.t -> int
 (** The per-block shared-memory budget the injector (and [Search_space])
     measure against: [min (shared_mem_per_sm / 2) max_shared_mem_per_block]. *)

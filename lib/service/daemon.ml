@@ -21,7 +21,13 @@
      before the backlog grows.
 
    All deadlines read one injectable monotonic clock (Util.Clock): wall
-   time stepping backward under NTP must not silently disable them. *)
+   time stepping backward under NTP must not silently disable them.
+
+   Tunes run off the select loop.  The loop runs on a domain of its own;
+   the domain that called [serve] runs each tune the engine hands it and
+   then writes a byte to a self-pipe in the select set, which wakes the
+   loop to apply the result.  So cache hits, PING and STATS answer while a
+   tune is running. *)
 
 (* ------------------------------------------------------------------ *)
 (* Bounded outgoing buffer with partial-write continuation. *)
@@ -78,6 +84,7 @@ type conn = {
   buf : Buffer.t;  (* bytes received, not yet terminated by '\n' *)
   out : Outbuf.t;
   mutable last_activity : float;  (* last complete request or flushed response *)
+  mutable owed : int;  (* request lines submitted and not yet answered *)
   mutable partial_since : float option;  (* first byte of the current partial line *)
   mutable blocked_since : float option;  (* response flushing stalled since *)
   mutable open_ : bool;
@@ -120,7 +127,10 @@ let deliver ~now engine conns responses =
   List.iter
     (fun (client, line) ->
       match Hashtbl.find_opt conns client with
-      | Some conn -> send_line ~now engine conns conn line
+      | Some conn ->
+        (* The engine answers every request line with exactly one line. *)
+        conn.owed <- conn.owed - 1;
+        send_line ~now engine conns conn line
       | None -> () (* already closed; the engine counted it abandoned *))
     responses
 
@@ -140,6 +150,7 @@ let drain_buffer ~now engine conns conn =
         else line
       in
       Engine.submit engine conn.client line;
+      conn.owed <- conn.owed + 1;
       conn.last_activity <- now;
       conn.partial_since <- None;
       go (i + 1)
@@ -172,14 +183,18 @@ let read_chunk ~now engine conns conn =
   | exception Unix.Unix_error (Unix.ECONNRESET, _, _) -> close_conn engine conns conn
 
 (* Two clocks of misbehaviour, one sweep:
-   - idle: no complete request and nothing owed for [read_deadline_s];
+   - idle: no complete request and nothing owed for [read_deadline_s] —
+     neither an answer still being worked on (a client waiting on a queued
+     or running tune is not idle) nor response bytes still unwritten;
    - request: a partial line dribbling in (or a response flush stalled) for
      [request_deadline_s] — the slow-loris bound.  Receiving more bytes
      does NOT reset it; only a completed line does. *)
 let enforce_deadlines ~now engine conns limits =
   let overdue conn =
     conn.open_
-    && ((Outbuf.pending conn.out = 0 && now -. conn.last_activity > limits.read_deadline_s)
+    && ((conn.owed = 0
+        && Outbuf.pending conn.out = 0
+        && now -. conn.last_activity > limits.read_deadline_s)
        || (match conn.partial_since with
           | Some t -> now -. t > limits.request_deadline_s
           | None -> false)
@@ -236,14 +251,89 @@ let flush_remaining engine conns limits clock =
   in
   go ()
 
+(* ------------------------------------------------------------------ *)
+(* The tune worker: the domain that called [serve] runs every tune the
+   engine's executor posts, one at a time, until the loop closes it. *)
+
+module Tunes = struct
+  type t = {
+    lock : Mutex.t;
+    wake : Condition.t;
+    mutable next : (unit -> unit) option;
+    mutable closed : bool;
+  }
+
+  let create () =
+    { lock = Mutex.create (); wake = Condition.create (); next = None; closed = false }
+
+  let post t work =
+    Mutex.protect t.lock (fun () ->
+        t.next <- Some work;
+        Condition.signal t.wake)
+
+  let close t =
+    Mutex.protect t.lock (fun () ->
+        t.closed <- true;
+        Condition.signal t.wake)
+
+  (* A tune posted but not started when the loop closes is dropped: a
+     drain closes only once every tune has finished, so this happens only
+     after a hard stop, which applies no results anyway. *)
+  let rec run t =
+    let next =
+      Mutex.protect t.lock (fun () ->
+          while Option.is_none t.next && not t.closed do
+            Condition.wait t.wake t.lock
+          done;
+          if t.closed then None
+          else begin
+            let work = t.next in
+            t.next <- None;
+            work
+          end)
+    in
+    match next with
+    | Some work ->
+      work ();
+      run t
+    | None -> ()
+end
+
+let close_quietly fd = try Unix.close fd with Unix.Unix_error _ -> ()
+
+(* Empties the self-pipe; its bytes only mean "a tune finished". *)
+let drain_wakeups fd =
+  let bytes = Bytes.create 64 in
+  let rec go () =
+    match Unix.read fd bytes 0 (Bytes.length bytes) with
+    | n when n = Bytes.length bytes -> go ()
+    | _ -> ()
+    | exception Unix.Unix_error _ -> ()
+  in
+  go ()
+
 let serve ~socket ~cache ?settings ?(stop = Atomic.make false)
     ?(hard_stop = Atomic.make false) ?(read_deadline_s = 30.0)
     ?(request_deadline_s = 10.0) ?(max_conns = 64) ?(max_write_buffer = 262_144)
     ?clock ?(install_signal_handlers = true) () =
   let clock = match clock with Some c -> c | None -> Util.Clock.monotonic () in
   let limits = { read_deadline_s; request_deadline_s; max_conns; max_write_buffer } in
+  let tunes = Tunes.create () in
+  let wake_r, wake_w = Unix.pipe ~cloexec:true () in
+  Fun.protect
+    ~finally:(fun () ->
+      close_quietly wake_r;
+      close_quietly wake_w)
+  @@ fun () ->
+  Unix.set_nonblock wake_r;
+  Unix.set_nonblock wake_w;
+  let executor work =
+    Tunes.post tunes (fun () ->
+        work ();
+        try ignore (Unix.write_substring wake_w "." 0 1) with Unix.Unix_error _ -> ())
+  in
   let engine =
-    Engine.create ?settings ~now_ms:(fun () -> clock () *. 1000.) ~cache ()
+    Engine.create ?settings ~now_ms:(fun () -> clock () *. 1000.) ~executor ~cache ()
   in
   (* A response written to a vanished client must surface as EPIPE on the
      write, not kill the process. *)
@@ -255,98 +345,118 @@ let serve ~socket ~cache ?settings ?(stop = Atomic.make false)
   end;
   if Sys.file_exists socket then Unix.unlink socket;
   let listener = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  (* Closed exactly once: a second close could hit a descriptor number the
+     tune domain has reused meanwhile. *)
+  let listener_open = ref true in
+  let close_listener () =
+    if !listener_open then begin
+      listener_open := false;
+      close_quietly listener
+    end
+  in
   let conns : (Engine.client, conn) Hashtbl.t = Hashtbl.create 16 in
   let retry_after = (Engine.settings engine).Engine.retry_after_s in
+  let serve_loop () =
+    while not (Atomic.get stop || Atomic.get hard_stop) do
+      let read_fds =
+        listener :: wake_r :: Hashtbl.fold (fun _ c acc -> c.fd :: acc) conns []
+      in
+      let write_fds =
+        Hashtbl.fold
+          (fun _ c acc -> if Outbuf.pending c.out > 0 then c.fd :: acc else acc)
+          conns []
+      in
+      let readable, writable =
+        match Unix.select read_fds write_fds [] 0.25 with
+        | readable, writable, _ -> (readable, writable)
+        | exception Unix.Unix_error (Unix.EINTR, _, _) -> ([], [])
+      in
+      let now = clock () in
+      let conn_of fd =
+        Hashtbl.fold (fun _ c acc -> if c.fd = fd then Some c else acc) conns None
+      in
+      List.iter
+        (fun fd ->
+          if fd = wake_r then drain_wakeups wake_r
+          else if fd = listener then begin
+            match Unix.accept listener with
+            | client_fd, _ ->
+              if Hashtbl.length conns >= limits.max_conns then
+                shed_connection engine client_fd retry_after
+              else begin
+                Unix.set_nonblock client_fd;
+                let client = Engine.connect engine in
+                Hashtbl.replace conns client
+                  {
+                    fd = client_fd;
+                    client;
+                    buf = Buffer.create 256;
+                    out = Outbuf.create ~max_bytes:limits.max_write_buffer;
+                    last_activity = now;
+                    owed = 0;
+                    partial_since = None;
+                    blocked_since = None;
+                    open_ = true;
+                  }
+              end
+            | exception Unix.Unix_error _ -> ()
+          end
+          else begin
+            match conn_of fd with
+            | Some conn -> read_chunk ~now engine conns conn
+            | None -> ()
+          end)
+        readable;
+      (* Continue stalled responses for peers that became readable to us
+         again (their receive window reopened). *)
+      List.iter
+        (fun fd ->
+          match conn_of fd with
+          | Some conn when conn.open_ -> begin
+            match Outbuf.flush conn.out conn.fd with
+            | `Done ->
+              conn.blocked_since <- None;
+              conn.last_activity <- now
+            | `Pending ->
+              if conn.blocked_since = None then conn.blocked_since <- Some now
+            | `Closed -> close_conn engine conns conn
+          end
+          | _ -> ())
+        writable;
+      deliver ~now engine conns (Engine.step engine);
+      enforce_deadlines ~now:(clock ()) engine conns limits
+    done;
+    if Atomic.get hard_stop then begin
+      (* Simulated kill -9 for the chaos harness: no drain, no flush, no
+         goodbye lines, and a running tune's result is never applied.  The
+         append-only cache already holds every answered tune; everything
+         else is torn state the restart must salvage — which is the point. *)
+      close_listener ();
+      Hashtbl.fold (fun _ c acc -> c :: acc) conns []
+      |> List.iter (fun c -> close_quietly c.fd)
+    end
+    else begin
+      (* Graceful drain: the listener dies first (no new connections), the
+         running and queued tunes finish and answer, the cache compacts
+         atomically. *)
+      close_listener ();
+      deliver ~now:(clock ()) engine conns (Engine.drain engine);
+      flush_remaining engine conns limits clock;
+      Hashtbl.fold (fun _ c acc -> c :: acc) conns []
+      |> List.iter (fun c -> close_conn engine conns c)
+    end
+  in
   Fun.protect
     ~finally:(fun () ->
-      (try Unix.close listener with Unix.Unix_error _ -> ());
+      close_listener ();
       if Sys.file_exists socket then try Unix.unlink socket with Sys_error _ -> ())
     (fun () ->
       Unix.bind listener (Unix.ADDR_UNIX socket);
       Unix.listen listener 64;
-      while not (Atomic.get stop || Atomic.get hard_stop) do
-        let read_fds =
-          listener :: Hashtbl.fold (fun _ c acc -> c.fd :: acc) conns []
-        in
-        let write_fds =
-          Hashtbl.fold
-            (fun _ c acc -> if Outbuf.pending c.out > 0 then c.fd :: acc else acc)
-            conns []
-        in
-        let readable, writable =
-          match Unix.select read_fds write_fds [] 0.25 with
-          | readable, writable, _ -> (readable, writable)
-          | exception Unix.Unix_error (Unix.EINTR, _, _) -> ([], [])
-        in
-        let now = clock () in
-        let conn_of fd =
-          Hashtbl.fold (fun _ c acc -> if c.fd = fd then Some c else acc) conns None
-        in
-        List.iter
-          (fun fd ->
-            if fd = listener then begin
-              match Unix.accept listener with
-              | client_fd, _ ->
-                if Hashtbl.length conns >= limits.max_conns then
-                  shed_connection engine client_fd retry_after
-                else begin
-                  Unix.set_nonblock client_fd;
-                  let client = Engine.connect engine in
-                  Hashtbl.replace conns client
-                    {
-                      fd = client_fd;
-                      client;
-                      buf = Buffer.create 256;
-                      out = Outbuf.create ~max_bytes:limits.max_write_buffer;
-                      last_activity = now;
-                      partial_since = None;
-                      blocked_since = None;
-                      open_ = true;
-                    }
-                end
-              | exception Unix.Unix_error _ -> ()
-            end
-            else begin
-              match conn_of fd with
-              | Some conn -> read_chunk ~now engine conns conn
-              | None -> ()
-            end)
-          readable;
-        (* Continue stalled responses for peers that became readable to us
-           again (their receive window reopened). *)
-        List.iter
-          (fun fd ->
-            match conn_of fd with
-            | Some conn when conn.open_ -> begin
-              match Outbuf.flush conn.out conn.fd with
-              | `Done ->
-                conn.blocked_since <- None;
-                conn.last_activity <- now
-              | `Pending ->
-                if conn.blocked_since = None then conn.blocked_since <- Some now
-              | `Closed -> close_conn engine conns conn
-            end
-            | _ -> ())
-          writable;
-        deliver ~now engine conns (Engine.run_until_idle engine);
-        enforce_deadlines ~now:(clock ()) engine conns limits
-      done;
-      if Atomic.get hard_stop then begin
-        (* Simulated kill -9 for the chaos harness: no drain, no flush, no
-           goodbye lines.  The append-only cache already holds every
-           answered tune; everything else is torn state the restart must
-           salvage — which is the point. *)
-        Hashtbl.fold (fun _ c acc -> c :: acc) conns []
-        |> List.iter (fun c -> try Unix.close c.fd with Unix.Unix_error _ -> ());
-        engine
-      end
-      else begin
-        (* Graceful drain: the listener dies first (no new connections), the
-           queued tunes finish and answer, the cache compacts atomically. *)
-        (try Unix.close listener with Unix.Unix_error _ -> ());
-        deliver ~now:(clock ()) engine conns (Engine.drain engine);
-        flush_remaining engine conns limits clock;
-        Hashtbl.fold (fun _ c acc -> c :: acc) conns []
-        |> List.iter (fun c -> close_conn engine conns c);
-        engine
-      end)
+      let loop =
+        Domain.spawn (fun () ->
+            Fun.protect ~finally:(fun () -> Tunes.close tunes) serve_loop)
+      in
+      Tunes.run tunes;
+      Domain.join loop;
+      engine)

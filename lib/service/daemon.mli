@@ -17,9 +17,15 @@
     (past the ceiling, accept answers [BUSY retry-after] immediately and
     closes, before the backlog grows).
 
+    Tunes run off the serving loop, so cache hits, PING and STATS answer
+    while a tune is running: {!serve} runs the select loop on a domain it
+    spawns and runs each tune on the domain that called it, one at a time;
+    a self-pipe in the select set wakes the loop when a tune finishes.
+
     The protocol work all lives in {!Engine}/{!Protocol}; this module only
-    owns file descriptors, which is what keeps the chaos campaigns honest:
-    they exercise the same engine in-process through {!Sim}. *)
+    owns file descriptors and domains, which is what keeps the chaos
+    campaigns honest: they exercise the same engine in-process through
+    {!Sim}. *)
 
 (** The bounded outgoing buffer (exposed for the partial-write unit
     tests).  Responses are enqueued whole; {!Outbuf.flush} writes as much
@@ -61,17 +67,22 @@ val serve :
   Engine.t
 (** Binds [socket] (replacing a stale socket file), serves until [stop]
     flips to [true] — which the installed SIGTERM/SIGINT handlers do — then
-    drains and returns the final engine for health reporting.
+    drains (the running and queued tunes finish and answer) and returns the
+    final engine for health reporting.  The calling domain runs the tunes
+    until the loop's domain exits; that domain is joined before [serve]
+    returns.
 
     [hard_stop]: flipping it exits the loop {e immediately} — no drain, no
-    flush, no goodbye lines, connections cut.  The chaos campaigns use it
-    as an in-process [kill -9]: everything except the append-only cache
-    records already written is torn state the restart must salvage.
+    flush, no goodbye lines, connections cut.  A running tune ends, but its
+    result is never applied.  The chaos campaigns use it as an in-process
+    [kill -9]: everything except the append-only cache records already
+    written is torn state the restart must salvage.
 
     [read_deadline_s] (default 30): a connection idle that long — no
-    complete request received and nothing owed to it — gets a typed
-    [ERR timeout] line and is closed, so dead or glacial clients cannot
-    pin file descriptors forever.
+    complete request received and nothing owed to it: no answer still
+    being worked on (a queued or running tune it waits for) and no response
+    bytes unwritten — gets a typed [ERR timeout] line and is closed, so
+    dead or glacial clients cannot pin file descriptors forever.
 
     [request_deadline_s] (default 10): the slow-loris bound.  A partial
     request line that has been dribbling in this long (the clock starts at

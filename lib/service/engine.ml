@@ -1,6 +1,14 @@
 (* The service core: parse -> admit -> coalesce -> tune -> cache -> answer,
    as a deterministic step machine.  No sockets, no time, no randomness of
-   its own — the Sim harness and the real daemon drive the same code. *)
+   its own — the Sim harness and the real daemon drive the same code.
+
+   Each tune has two halves.  The worker half (search space, supervised
+   tune, journal) runs wherever the injected executor puts it and touches
+   only the supervision session; the loop half (counters, outcome
+   classification, audit, cache, answers) runs inside [step].  So the
+   cache, its quarantine and the counters have a single writer, and the one
+   value crossing between the halves — the worker's result — passes under
+   [lock]. *)
 
 type settings = {
   budget_trials : int;
@@ -74,14 +82,31 @@ let zero_counters =
     deadline_shed = 0;
   }
 
+type executor = (unit -> unit) -> unit
+
+(* What the worker half hands back to the loop half. *)
+type tuned =
+  | No_domain of string
+  | Crashed of string
+  | Outcome of Core.Supervisor.outcome
+
+type running = {
+  job : job;
+  mutable result : tuned option;  (* written by the worker, under [lock] *)
+}
+
 type t = {
   settings : settings;
   now_ms : unit -> float;
+  executor : executor;
   cache : Result_cache.t;
   session : Core.Supervisor.session;
   pending : (client * string) Queue.t;
   jobs : job Queue.t;
-  inflight : (string, job) Hashtbl.t;  (* key -> queued job *)
+  inflight : (string, job) Hashtbl.t;  (* key -> queued or running job *)
+  mutable running : running option;
+  lock : Mutex.t;
+  finished : Condition.t;
   connected : (client, unit) Hashtbl.t;
   mutable next_client : int;
   mutable draining : bool;
@@ -103,11 +128,13 @@ let rec mkdir_p dir =
    a deterministic step machine (Sim scripts replay byte-identically), and
    with a frozen clock no deadline ever passes, so shedding is off unless a
    real clock is injected — which the daemon does. *)
-let create ?(settings = default_settings) ?(now_ms = fun () -> 0.0) ~cache () =
+let create ?(settings = default_settings) ?(now_ms = fun () -> 0.0)
+    ?(executor = fun work -> work ()) ~cache () =
   Option.iter mkdir_p settings.journal_dir;
   {
     settings;
     now_ms;
+    executor;
     cache =
       Result_cache.load ~audit:settings.audit
         ~generation:(generation_of_settings settings) cache;
@@ -116,6 +143,9 @@ let create ?(settings = default_settings) ?(now_ms = fun () -> 0.0) ~cache () =
     pending = Queue.create ();
     jobs = Queue.create ();
     inflight = Hashtbl.create 16;
+    running = None;
+    lock = Mutex.create ();
+    finished = Condition.create ();
     connected = Hashtbl.create 16;
     next_client = 0;
     draining = false;
@@ -164,6 +194,8 @@ let stats t =
     ("quarantined", string_of_int (Result_cache.quarantined t.cache));
     ("scrubbed", string_of_int (Result_cache.scrubbed t.cache));
     ("audit_rejected", string_of_int t.post_rejects);
+    ("queued", string_of_int (Queue.length t.jobs));
+    ("running", if Option.is_none t.running then "0" else "1");
     ("draining", string_of_bool t.draining);
   ]
 
@@ -238,8 +270,34 @@ let handle_line t out (client, line) =
 (* ------------------------------------------------------------------ *)
 (* Running one tuning task. *)
 
-let journal_path t key =
-  Option.map (fun dir -> Filename.concat dir (key ^ ".journal")) t.settings.journal_dir
+(* The worker half: reads only the job's request and the settings, and
+   writes only the supervision session and the tune's journal. *)
+let tune_job t job =
+  let req = job.request in
+  match
+    Core.Search_space.make ~pruned:req.Protocol.pruned req.Protocol.arch
+      req.Protocol.spec req.Protocol.algorithm
+  with
+  | exception Invalid_argument msg ->
+    (* Surface the dead-end in the supervision report too, so the daemon's
+       shutdown health summary does not hide requests it could not serve. *)
+    ignore
+      (Core.Supervisor.record_failed t.session ~key:job.key
+         (Core.Supervisor.Empty_domain msg));
+    No_domain msg
+  | space ->
+    let s = t.settings in
+    let journal =
+      Option.map
+        (fun dir ->
+          Tune_identity.journal_path ~dir
+            (Tune_identity.make ~canonical:job.canonical ~seed:s.seed
+               ~budget:s.budget_trials ~faults:s.faults))
+        s.journal_dir
+    in
+    Outcome
+      (Core.Supervisor.tune_task t.session ~key:job.key ~seed:s.seed
+         ~max_measurements:s.budget_trials ?faults:s.faults ?journal ~space ())
 
 let outcome_entry job (outcome : Core.Supervisor.outcome) =
   let spec = job.request.Protocol.spec in
@@ -284,44 +342,19 @@ let answer_waiters t out job response =
      shared answer; failures propagate to all of them identically. *)
   List.iter (fun client -> deliver t out client response) (List.rev job.waiters)
 
-let run_job_now t out job =
-  let req = job.request in
-  let outcome =
-    match
-      Core.Search_space.make ~pruned:req.Protocol.pruned req.Protocol.arch
-        req.Protocol.spec req.Protocol.algorithm
-    with
-    | exception Invalid_argument msg ->
-      t.c <- { t.c with domain_errors = t.c.domain_errors + 1 };
-      (* Surface the dead-end in the supervision report too, so the daemon's
-         shutdown health summary does not hide requests it could not serve. *)
-      ignore
-        (Core.Supervisor.record_failed t.session ~key:job.key
-           (Core.Supervisor.Empty_domain msg));
-      `Domain msg
-    | space -> begin
-      t.c <- { t.c with tunes_run = t.c.tunes_run + 1 };
-      let s = t.settings in
-      match
-        Core.Supervisor.tune_task t.session ~key:job.key ~seed:s.seed
-          ~max_measurements:s.budget_trials ?faults:s.faults
-          ?journal:(journal_path t job.key) ~space ()
-      with
-      | outcome -> `Outcome outcome
-      | exception exn ->
-        (* A tune must never take the service down: an unexpected failure
-           (journal I/O, checkpoint salvage, ...) becomes a typed error for
-           this job's waiters and the daemon keeps serving. *)
-        `Crashed (Printexc.to_string exn)
-    end
-  in
+(* The loop half: count, classify, audit, cache, answer. *)
+let complete t out job tuned =
   let response =
-    match outcome with
-    | `Domain msg -> Protocol.Error (Protocol.Domain msg)
-    | `Crashed msg ->
-      t.c <- { t.c with tune_failures = t.c.tune_failures + 1 };
+    match tuned with
+    | No_domain msg ->
+      t.c <- { t.c with domain_errors = t.c.domain_errors + 1 };
+      Protocol.Error (Protocol.Domain msg)
+    | Crashed msg ->
+      t.c <-
+        { t.c with tunes_run = t.c.tunes_run + 1; tune_failures = t.c.tune_failures + 1 };
       Protocol.Error (Protocol.Failed msg)
-    | `Outcome o -> begin
+    | Outcome o -> begin
+      t.c <- { t.c with tunes_run = t.c.tunes_run + 1 };
       match outcome_entry job o with
       | `Cacheable entry ->
         (* Audit after tuning, before the entry can reach disk or another
@@ -357,37 +390,85 @@ let run_job_now t out job =
   in
   answer_waiters t out job response
 
-let run_job t out job =
-  Hashtbl.remove t.inflight job.key;
-  match job.deadline_at with
-  | Some d when t.now_ms () > d ->
-    (* Every waiter's deadline has already passed: tuning now would burn
-       budget answering connections that stopped listening.  Shed with a
-       typed line — a patient waiter (no deadline) keeps the job runnable
-       via [deadline_at = None]. *)
+(* Hands the job's worker half to the executor.  The job stays in
+   [inflight] until [finish_running] applies its result, so an identical
+   request arriving mid-tune joins it. *)
+let launch t job =
+  let slot = { job; result = None } in
+  t.running <- Some slot;
+  t.executor (fun () ->
+      let result =
+        (* A tune must never take the service down: an unexpected failure
+           (journal I/O, checkpoint salvage, ...) becomes a typed error for
+           this job's waiters and the daemon keeps serving. *)
+        try tune_job t job with exn -> Crashed (Printexc.to_string exn)
+      in
+      Mutex.protect t.lock (fun () ->
+          slot.result <- Some result;
+          Condition.broadcast t.finished))
+
+(* Launches the next queued job.  One whose every waiter's deadline has
+   already passed is shed instead: tuning now would burn budget answering
+   connections that stopped listening.  A patient waiter (no deadline)
+   keeps the job runnable via [deadline_at = None]. *)
+let rec start_next t out =
+  match Queue.take_opt t.jobs with
+  | None -> ()
+  | Some ({ deadline_at = Some d; _ } as job) when t.now_ms () > d ->
+    Hashtbl.remove t.inflight job.key;
     t.c <- { t.c with deadline_shed = t.c.deadline_shed + 1 };
-    answer_waiters t out job (Protocol.Error Protocol.Deadline)
-  | _ -> run_job_now t out job
+    answer_waiters t out job (Protocol.Error Protocol.Deadline);
+    start_next t out
+  | Some job -> launch t job
+
+(* Applies the running tune's result once its worker half has finished. *)
+let finish_running t out =
+  match t.running with
+  | None -> ()
+  | Some slot -> (
+    match Mutex.protect t.lock (fun () -> slot.result) with
+    | None -> ()
+    | Some tuned ->
+      t.running <- None;
+      Hashtbl.remove t.inflight slot.job.key;
+      complete t out slot.job tuned)
 
 (* ------------------------------------------------------------------ *)
 (* Stepping. *)
 
 let step t =
   let out = ref [] in
+  finish_running t out;
   let lines = Queue.fold (fun acc x -> x :: acc) [] t.pending |> List.rev in
   Queue.clear t.pending;
   List.iter (handle_line t out) lines;
-  if not (Queue.is_empty t.jobs) then run_job t out (Queue.pop t.jobs);
+  if Option.is_none t.running then start_next t out;
+  (* The inline executor has already finished the tune just launched. *)
+  finish_running t out;
   (* Background scrubbing: a bounded slice of the cache re-audited per tick,
      so a long-lived daemon sweeps its whole cache without ever pausing. *)
   if t.settings.scrub_per_step > 0 then
     ignore (Result_cache.scrub_step t.cache ~n:t.settings.scrub_per_step);
   List.rev !out
 
+(* Blocks until the running tune's worker half has finished. *)
+let await_running t =
+  Option.iter
+    (fun slot ->
+      Mutex.protect t.lock (fun () ->
+          while Option.is_none slot.result do
+            Condition.wait t.finished t.lock
+          done))
+    t.running
+
 let rec run_until_idle t =
   let responses = step t in
-  if Queue.is_empty t.pending && Queue.is_empty t.jobs then responses
-  else responses @ run_until_idle t
+  if Queue.is_empty t.pending && Queue.is_empty t.jobs && Option.is_none t.running then
+    responses
+  else begin
+    await_running t;
+    responses @ run_until_idle t
+  end
 
 let drain t =
   (* Requests already received were accepted: serve them (finishing every

@@ -17,10 +17,21 @@
       anyway), answers every waiter, and compacts the cache atomically.
 
     Determinism: the engine is single-stepped ({!step} processes all
-    pending request lines, then completes at most one tuning task) and
-    draws no randomness beyond the seeded tuner, so a scripted run —
-    {!Sim} — is exactly reproducible.  The daemon drives the same engine
-    from a real socket accept loop. *)
+    pending request lines and launches at most one tuning task) and draws
+    no randomness beyond the seeded tuner.  Under the default inline
+    executor a launched tune completes inside the same step, so a scripted
+    run — {!Sim} — is exactly reproducible.  The daemon drives the same
+    engine from a real socket accept loop, with an executor that runs
+    tunes on another domain so cache hits, PING and STATS keep answering
+    while a tune runs.
+
+    Each tune has a worker half — [Core.Search_space.make], the supervised
+    tune and its journal — which is all the executor runs, and which
+    touches no engine state but the supervision session.  Its loop half —
+    counters, outcome classification, the post-tune audit, the cache write
+    and the answers — runs inside {!step}.  The engine is otherwise not
+    thread-safe: call everything but the executor's work from one
+    domain. *)
 
 type settings = {
   budget_trials : int;  (** per-tune measurement budget *)
@@ -60,7 +71,15 @@ type client
 
 val client_id : client -> int
 
-val create : ?settings:settings -> ?now_ms:(unit -> float) -> cache:string -> unit -> t
+type executor = (unit -> unit) -> unit
+(** Runs the worker half of one tune.  The engine hands over a thunk that
+    tunes and then records its result; the executor may run it before
+    returning or later, on any domain.  At most one is outstanding at a
+    time. *)
+
+val create :
+  ?settings:settings -> ?now_ms:(unit -> float) -> ?executor:executor -> cache:string ->
+  unit -> t
 (** Loads (salvaging + repairing if damaged) the durable cache and starts
     an accepting engine.
 
@@ -69,7 +88,12 @@ val create : ?settings:settings -> ?now_ms:(unit -> float) -> cache:string -> un
     [ERR deadline]).  It defaults to the {e constant zero} — not wall
     time — so the engine stays a deterministic step machine and shedding
     is inert unless a real (monotonic) clock is injected, which the
-    daemon does. *)
+    daemon does.
+
+    [executor] is injected the same way.  It defaults to running the tune
+    inline, before it returns, which keeps {!step} a deterministic step
+    machine.  The daemon passes one that hands the tune to another domain;
+    a test may pass one that holds the tune until it releases it. *)
 
 val settings : t -> settings
 val cache : t -> Result_cache.t
@@ -89,21 +113,30 @@ val submit : t -> client -> string -> unit
     {!step}. *)
 
 val step : t -> (client * string) list
-(** One deterministic scheduling round: processes every pending line
-    (immediate answers: cache hits, coalesced joins, BUSY, errors, PING,
-    STATS), then runs at most one queued tuning task to completion and
-    answers all its waiters.  Returns the response lines emitted this
+(** One scheduling round, which never waits: applies the running tune's
+    result if its worker half has finished (audit, cache, answers to all
+    its waiters), processes every pending line (immediate answers: cache
+    hits, coalesced joins, BUSY, errors, PING, STATS), then — when no tune
+    is running — launches the next queued one through the executor,
+    shedding first any queued tune whose every waiter's deadline has
+    passed.  A request identical to the running tune joins it.  With the inline
+    executor the launched tune finishes at once and its waiters are
+    answered in this same round, so each step runs at most one queued
+    tuning task to completion.  Returns the response lines emitted this
     round, in order. *)
 
 val run_until_idle : t -> (client * string) list
-(** {!step} until no pending lines and no queued tunes remain. *)
+(** {!step} until no pending lines, no queued tunes and no running tune
+    remain, blocking (without polling) while the running tune's worker
+    half finishes.  With an executor that holds tunes, release the held
+    tune from another domain first, or this never returns. *)
 
 val drain : t -> (client * string) list
 (** Graceful shutdown (the SIGTERM path): {!run_until_idle} first —
-    requests already received were accepted, so every queued tune finishes
-    and every waiter is answered — then stop admitting new requests
-    (subsequent submissions get [ERR draining]) and compact the cache with
-    an atomic flush.  Idempotent. *)
+    requests already received were accepted, so the running tune and every
+    queued one finish and every waiter is answered — then stop admitting
+    new requests (subsequent submissions get [ERR draining]) and compact
+    the cache with an atomic flush.  Idempotent. *)
 
 val is_draining : t -> bool
 
@@ -134,8 +167,10 @@ val stats : t -> (string * string) list
 (** The [STATS] reply payload: counters plus cache entries / salvage
     losses / stale records, the audit ledger ([audited] checks performed,
     [quarantined] records sidelined, [scrubbed] entries swept,
-    [audit_rejected] post-tune rejects) and the draining flag. *)
+    [audit_rejected] post-tune rejects), the gauges [queued] (distinct
+    tunes waiting) and [running] (0 or 1), and the draining flag. *)
 
 val health : t -> Core.Supervisor.report
 (** The supervision session's report (budget accounting, per-task
-    outcomes) — what the daemon prints on shutdown. *)
+    outcomes) — what the daemon prints on shutdown.  The worker half writes
+    the session, so read it only while no tune is running. *)

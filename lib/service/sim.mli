@@ -18,7 +18,10 @@ type event =
   | Connect of int  (** open a session for logical client [n] *)
   | Send of int * string  (** client [n] submits one request line *)
   | Disconnect of int  (** client [n] goes away (waiting answers dropped) *)
-  | Step  (** one engine step: pending lines + at most one tune *)
+  | Step
+      (** one engine step: pending lines, then at most one tune, which
+          Sim's engine (inline executor) finishes and answers within the
+          step *)
   | Run_until_idle  (** step until no pending work remains *)
   | Drain  (** graceful SIGTERM: finish queued tunes, flush the cache *)
 

@@ -418,6 +418,50 @@ let test_daemon_binary_garbage () =
 (* A pipelined burst answered while the client reads nothing: responses are
    buffered, continued across select iterations, and arrive whole and in
    order — the live half of the partial-write story. *)
+(* Tunes run off the serving loop.  While one runs, STATS and a cached
+   shape answer on other connections, STATS shows the running gauge, and
+   the tune's own client is answered afterwards.  The tune (about 0.3s at
+   120 trials) outlasts the few round trips made meanwhile by far. *)
+let test_daemon_answers_during_tune () =
+  let dir = temp_dir "net-offloop" in
+  let socket = Filename.concat dir "d.sock" in
+  let stop, _, d =
+    start_daemon ~settings:{ fast with budget_trials = 120 } ~socket
+      ~cache:(Filename.concat dir "c") ()
+  in
+  wait_ready socket;
+  let ask line =
+    let fd = connect_raw socket in
+    send_raw fd (line ^ "\n");
+    let reply = read_line_fd fd in
+    Unix.close fd;
+    reply
+  in
+  let cached = "TUNE cin=4 size=8 cout=4 k=3" in
+  ignore (parse_ok (ask cached));
+  let tuning = connect_raw socket in
+  (* The PONG comes from the round that launched the tune. *)
+  send_raw tuning "TUNE cin=64 cout=64 size=56 k=3 pad=1 arch=v100\nPING\n";
+  Alcotest.(check string) "ping behind the tune" "PONG" (read_line_fd tuning);
+  (match Service.Protocol.parse_response (ask "STATS") with
+  | Some (Service.Protocol.Stats_reply kvs) ->
+    Alcotest.(check (option string)) "a tune is running" (Some "1")
+      (List.assoc_opt "running" kvs);
+    Alcotest.(check (option string)) "none queued" (Some "0")
+      (List.assoc_opt "queued" kvs)
+  | _ -> Alcotest.fail "expected a STATS reply");
+  let hit = parse_ok (ask cached) in
+  Alcotest.(check int) "cached shape answered mid-tune" 0 hit.Service.Protocol.trials;
+  (match Unix.select [ tuning ] [] [] 0.0 with
+  | [], _, _ -> ()
+  | _ -> Alcotest.fail "the tune was answered before STATS and the hit");
+  let tuned = parse_ok (read_line_fd tuning) in
+  Alcotest.(check string) "the tune answers afterwards" "tuned"
+    (Service.Protocol.source_to_string tuned.Service.Protocol.source);
+  Unix.close tuning;
+  Atomic.set stop true;
+  ignore (Domain.join d)
+
 let test_daemon_pipelined_burst () =
   let dir = temp_dir "net-burst" in
   let socket = Filename.concat dir "d.sock" in
@@ -986,6 +1030,8 @@ let () =
             test_daemon_binary_garbage;
           Alcotest.test_case "pipelined burst arrives whole" `Quick
             test_daemon_pipelined_burst;
+          Alcotest.test_case "STATS and hits answer during a tune" `Quick
+            test_daemon_answers_during_tune;
         ] );
       ( "deadline",
         [

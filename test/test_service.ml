@@ -17,11 +17,14 @@
    - answer integrity: semantic corruption the framing CRC endorses
      (mutate-and-reframe) is caught by the Verify.Audit trust boundaries —
      load, hit, post-tune, background scrub — quarantined with typed
-     reasons, and the poisoned shapes fall through to fresh tunes.
+     reasons, and the poisoned shapes fall through to fresh tunes;
+   - tunes off the serving loop: a qcheck state machine drives the engine
+     through an executor that holds each tune until released, against a
+     pure model of answers, cache, running and queued tunes and ledger.
 
-   SERVICE_DEEP=1 widens the chaos campaign seed sweep and adds the
-   real-socket daemon smoke (spawned domain, live Unix socket, idle
-   deadline, SIGTERM-equivalent stop/drain, warm restart). *)
+   A real-socket daemon smoke (spawned domain, live Unix socket, idle
+   deadline, SIGTERM-equivalent stop/drain, warm restart) runs too.
+   SERVICE_DEEP=1 widens the chaos campaign seed sweep. *)
 
 let deep = Sys.getenv_opt "SERVICE_DEEP" <> None
 let campaign_seeds = List.init (if deep then 16 else 4) (fun i -> i)
@@ -60,6 +63,13 @@ let temp_dir prefix =
   Sys.remove path;
   Unix.mkdir path 0o755;
   path
+
+let rec rm_rf path =
+  if Sys.is_directory path then begin
+    Array.iter (fun f -> rm_rf (Filename.concat path f)) (Sys.readdir path);
+    Unix.rmdir path
+  end
+  else Sys.remove path
 
 let parse_ok line =
   match Service.Protocol.parse_response line with
@@ -611,6 +621,359 @@ let test_domain_error_typed () =
     (List.length report.Core.Supervisor.tasks);
   cleanup cache
 
+(* A journal records only config -> outcome, so it must be named by every
+   input that decides the search.  A seed-1 engine pointed at a journal
+   directory a seed-0 engine used answers exactly what a seed-1 engine on a
+   fresh directory answers, and keeps its own journal. *)
+let test_journal_named_by_identity () =
+  let shared = temp_dir "service-journals" and fresh = temp_dir "service-journals" in
+  let tune ~seed ~dir =
+    let cache = temp_cache () in
+    let settings = { fast with seed; budget_trials = 24; journal_dir = Some dir } in
+    let outcome =
+      run_sim ~settings ~cache Service.Sim.[ Connect 1; Send (1, line_a); Run_until_idle ]
+    in
+    cleanup cache;
+    match Service.Sim.transcript_of 1 outcome with
+    | [ line ] -> line
+    | t -> Alcotest.failf "expected one response, got %d" (List.length t)
+  in
+  ignore (tune ~seed:0 ~dir:shared);
+  let after_foreign = tune ~seed:1 ~dir:shared in
+  Alcotest.(check string) "a foreign journal does not change the answer"
+    (tune ~seed:1 ~dir:fresh) after_foreign;
+  Alcotest.(check string) "the answer is a fresh tune" "tuned"
+    (Service.Protocol.source_to_string (parse_ok after_foreign).source);
+  Alcotest.(check int) "one journal per identity" 2
+    (Sys.readdir shared |> Array.to_list
+    |> List.filter (fun f -> Filename.check_suffix f ".journal")
+    |> List.length);
+  rm_rf shared;
+  rm_rf fresh
+
+(* ------------------------------------------------------------------ *)
+(* The engine against a pure model.  Tunes go through an executor that
+   holds each one until the script releases it, so random scripts reach
+   every interleaving of arrivals, coalescing, BUSY, disconnects, drains
+   and restarts around a running tune.  After every operation the engine's
+   responses, counters, cache size and launches must equal the model's. *)
+
+let model_shapes = [| line_a; line_b; line_c; "TUNE cin=8 size=8 cout=8 k=3 arch=titanx" |]
+let model_settings = { fast with max_pending = 2 }
+
+(* Each shape's answers from an inline engine: the fresh tune, then the
+   cache hit. *)
+let model_answers =
+  lazy
+    (Array.map
+       (fun line ->
+         let cache = temp_cache () in
+         let outcome =
+           run_sim ~settings:model_settings ~cache
+             Service.Sim.
+               [ Connect 1; Send (1, line); Run_until_idle; Send (1, line); Run_until_idle ]
+         in
+         cleanup cache;
+         match Service.Sim.transcript_of 1 outcome with
+         | [ tuned; hit ] -> (tuned, hit)
+         | _ -> Alcotest.fail "reference engine did not answer twice")
+       model_shapes)
+
+type model_op =
+  | M_connect
+  | M_submit of int * int  (* nth connected client; shape index, or 4 PING, 5 STATS *)
+  | M_step
+  | M_release
+  | M_disconnect of int
+  | M_drain
+  | M_restart
+
+let show_model_op = function
+  | M_connect -> "connect"
+  | M_submit (c, r) -> Printf.sprintf "submit(%d,%d)" c r
+  | M_step -> "step"
+  | M_release -> "release"
+  | M_disconnect c -> Printf.sprintf "disconnect(%d)" c
+  | M_drain -> "drain"
+  | M_restart -> "restart"
+
+type model = {
+  mutable cached : int list;
+  mutable running : (int * bool) option;  (* shape, released *)
+  mutable queued : int list;  (* oldest first *)
+  mutable waiters : (int * int list) list;  (* shape -> clients, newest first *)
+  mutable connected : int list;
+  mutable pending : (int * int) list;  (* client, request; oldest first *)
+  mutable draining : bool;
+  mutable launches : int;
+  mutable hits : int;
+  mutable misses : int;
+  mutable coalesced : int;
+  mutable busy : int;
+  mutable tunes_run : int;
+  mutable abandoned : int;
+}
+
+let fresh_model cached =
+  {
+    cached;
+    running = None;
+    queued = [];
+    waiters = [];
+    connected = [];
+    pending = [];
+    draining = false;
+    launches = 0;
+    hits = 0;
+    misses = 0;
+    coalesced = 0;
+    busy = 0;
+    tunes_run = 0;
+    abandoned = 0;
+  }
+
+type expected = Line of string | Stats of (string * string) list
+
+let model_stats m =
+  [
+    ("entries", string_of_int (List.length m.cached));
+    ("hits", string_of_int m.hits);
+    ("misses", string_of_int m.misses);
+    ("coalesced", string_of_int m.coalesced);
+    ("busy", string_of_int m.busy);
+    ("tunes_run", string_of_int m.tunes_run);
+    ("abandoned", string_of_int m.abandoned);
+    ("queued", string_of_int (List.length m.queued));
+    ("running", if m.running = None then "0" else "1");
+    ("draining", string_of_bool m.draining);
+  ]
+
+(* One engine step, as the model sees it.  [inline]: a launched tune
+   finishes at once (the executor runs it before returning). *)
+let model_step m ~inline =
+  let answers = Lazy.force model_answers in
+  let out = ref [] in
+  let deliver c e =
+    if List.mem c m.connected then out := (c, e) :: !out
+    else m.abandoned <- m.abandoned + 1
+  in
+  let finish () =
+    match m.running with
+    | Some (k, true) ->
+      m.running <- None;
+      m.tunes_run <- m.tunes_run + 1;
+      m.cached <- k :: m.cached;
+      List.iter
+        (fun c -> deliver c (Line (fst answers.(k))))
+        (List.rev (List.assoc k m.waiters));
+      m.waiters <- List.remove_assoc k m.waiters
+    | _ -> ()
+  in
+  let handle (c, r) =
+    if m.draining then
+      deliver c (Line (Service.Protocol.render_response (Service.Protocol.Error Draining)))
+    else if r = 4 then deliver c (Line "PONG")
+    else if r = 5 then deliver c (Stats (model_stats m))
+    else if List.mem r m.cached then begin
+      m.hits <- m.hits + 1;
+      deliver c (Line (snd answers.(r)))
+    end
+    else begin
+      m.misses <- m.misses + 1;
+      match List.assoc_opt r m.waiters with
+      | Some ws ->
+        m.coalesced <- m.coalesced + 1;
+        m.waiters <- (r, c :: ws) :: List.remove_assoc r m.waiters
+      | None ->
+        if List.length m.queued >= model_settings.max_pending then begin
+          m.busy <- m.busy + 1;
+          deliver c
+            (Line
+               (Service.Protocol.render_response
+                  (Service.Protocol.Busy { retry_after_s = model_settings.retry_after_s })))
+        end
+        else begin
+          m.queued <- m.queued @ [ r ];
+          m.waiters <- (r, [ c ]) :: m.waiters
+        end
+    end
+  in
+  finish ();
+  List.iter handle m.pending;
+  m.pending <- [];
+  (match (m.running, m.queued) with
+  | None, k :: rest ->
+    m.queued <- rest;
+    m.running <- Some (k, inline);
+    m.launches <- m.launches + 1
+  | _ -> ());
+  finish ();
+  List.rev !out
+
+let run_model_script ops =
+  let cache = temp_cache () in
+  let held = ref None and auto = ref false and launches = ref 0 in
+  let executor work =
+    incr launches;
+    if !auto then work ()
+    else begin
+      if !held <> None then failwith "a second tune launched while one runs";
+      held := Some work
+    end
+  in
+  let release () =
+    match !held with
+    | Some work ->
+      held := None;
+      work ()
+    | None -> ()
+  in
+  let start () =
+    launches := 0;
+    Service.Engine.create ~settings:model_settings ~executor ~cache ()
+  in
+  let e = ref (start ()) in
+  let clients = Hashtbl.create 8 in
+  let m = ref (fresh_model []) in
+  let check_responses label got want =
+    let got = List.map (fun (c, l) -> (Service.Engine.client_id c, l)) got in
+    if List.length got <> List.length want then
+      failwith
+        (Printf.sprintf "%s: %d responses, model %d" label (List.length got)
+           (List.length want));
+    List.iter2
+      (fun (c, line) (c', e) ->
+        if c <> c' then
+          failwith (Printf.sprintf "%s: answer to client %d, model %d" label c c');
+        (match Service.Protocol.parse_response line with
+        | Some (Service.Protocol.Result p) when p.source = Service.Protocol.Src_cached ->
+          if p.trials <> 0 then failwith ("cache hit measured: " ^ line)
+        | _ -> ());
+        match e with
+        | Line want ->
+          if line <> want then failwith (Printf.sprintf "%s: %s, model %s" label line want)
+        | Stats kvs -> (
+          match Service.Protocol.parse_response line with
+          | Some (Service.Protocol.Stats_reply got) ->
+            List.iter
+              (fun (k, v) ->
+                if List.assoc_opt k got <> Some v then
+                  failwith (Printf.sprintf "%s: STATS %s, model %s=%s" label line k v))
+              kvs
+          | _ -> failwith (label ^ ": expected STATS, got " ^ line)))
+      got want
+  in
+  let check_state label =
+    let m = !m and c = Service.Engine.counters !e in
+    List.iter
+      (fun (name, got, want) ->
+        if got <> want then
+          failwith (Printf.sprintf "%s: %s=%d, model %d" label name got want))
+      [
+        ("hits", c.cache_hits, m.hits);
+        ("misses", c.cache_misses, m.misses);
+        ("coalesced", c.coalesced, m.coalesced);
+        ("busy", c.busy_rejected, m.busy);
+        ("tunes_run", c.tunes_run, m.tunes_run);
+        ("abandoned", c.abandoned, m.abandoned);
+        ("launches", !launches, m.launches);
+        ( "entries",
+          Service.Result_cache.entries (Service.Engine.cache !e),
+          List.length m.cached );
+        ( "held",
+          Bool.to_int (!held <> None),
+          Bool.to_int (match m.running with Some (_, false) -> true | _ -> false) );
+      ]
+  in
+  let nth_connected n =
+    match !m.connected with
+    | [] -> None
+    | l -> Some (List.nth l (n mod List.length l))
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      cleanup cache;
+      cleanup (cache ^ ".quarantine"))
+    (fun () ->
+      List.iteri
+        (fun i op ->
+          let label = Printf.sprintf "op %d (%s)" i (show_model_op op) in
+          (match op with
+          | M_connect ->
+            let c = Service.Engine.connect !e in
+            Hashtbl.replace clients (Service.Engine.client_id c) c;
+            !m.connected <- !m.connected @ [ Service.Engine.client_id c ]
+          | M_submit (n, r) ->
+            Option.iter
+              (fun id ->
+                let line =
+                  if r < Array.length model_shapes then model_shapes.(r)
+                  else if r = 4 then "PING"
+                  else "STATS"
+                in
+                Service.Engine.submit !e (Hashtbl.find clients id) line;
+                !m.pending <- !m.pending @ [ (id, r) ])
+              (nth_connected n)
+          | M_step ->
+            let got = Service.Engine.step !e in
+            check_responses label got (model_step !m ~inline:false)
+          | M_release ->
+            release ();
+            !m.running <-
+              Option.map (fun (k, _) -> (k, true)) !m.running
+          | M_disconnect n ->
+            Option.iter
+              (fun id ->
+                Service.Engine.disconnect !e (Hashtbl.find clients id);
+                !m.connected <- List.filter (( <> ) id) !m.connected)
+              (nth_connected n)
+          | M_drain ->
+            auto := true;
+            release ();
+            let got = Service.Engine.drain !e in
+            auto := false;
+            let mm = !m in
+            mm.running <- Option.map (fun (k, _) -> (k, true)) mm.running;
+            let rec idle acc =
+              let acc = acc @ model_step mm ~inline:true in
+              if mm.pending = [] && mm.queued = [] && mm.running = None then acc
+              else idle acc
+            in
+            let want = idle [] in
+            mm.draining <- true;
+            check_responses label got want
+          | M_restart ->
+            (* kill -9: a held tune never runs, an unapplied one is lost. *)
+            held := None;
+            Hashtbl.reset clients;
+            e := start ();
+            m := fresh_model !m.cached);
+          check_state label)
+        ops);
+  true
+
+let qcheck_engine_model =
+  let open QCheck in
+  let op =
+    Gen.frequency
+      [
+        (2, Gen.return M_connect);
+        (8, Gen.map2 (fun c r -> M_submit (c, r)) (Gen.int_bound 7) (Gen.int_bound 5));
+        (4, Gen.return M_step);
+        (3, Gen.return M_release);
+        (1, Gen.map (fun c -> M_disconnect c) (Gen.int_bound 7));
+        (1, Gen.return M_drain);
+        (1, Gen.return M_restart);
+      ]
+  in
+  let script = Gen.(list_size (int_range 1 40) op) in
+  Test.make ~name:"engine matches its model under a held-tune executor"
+    ~count:(if deep then 1000 else 100)
+    (make
+       ~print:(fun ops -> String.concat " " (List.map show_model_op ops))
+       ~shrink:Shrink.list script)
+    run_model_script
+
 (* ------------------------------------------------------------------ *)
 (* Seeded chaos campaign: scripted clients, injected GPU faults, kill -9,
    file corruption, restart.  The contract, per seed:
@@ -748,13 +1111,6 @@ let chaos_campaign seed =
     (n_kept + !cacheable)
     (Service.Result_cache.entries final);
   cleanup cache;
-  let rec rm_rf path =
-    if Sys.is_directory path then begin
-      Array.iter (fun f -> rm_rf (Filename.concat path f)) (Sys.readdir path);
-      Unix.rmdir path
-    end
-    else Sys.remove path
-  in
   rm_rf journals
 
 let test_chaos_campaign () = List.iter chaos_campaign campaign_seeds
@@ -990,8 +1346,10 @@ let test_background_scrub () =
   cleanup cache
 
 (* ------------------------------------------------------------------ *)
-(* Real socket smoke (SERVICE_DEEP): the daemon in a spawned domain, live
-   Unix-domain socket, idle deadline, stop/drain, warm restart. *)
+(* Real socket smoke: the daemon in a spawned domain, live Unix-domain
+   socket, idle deadline, stop/drain, warm restart.  The select loop runs
+   on a domain of its own and tunes run off it, which only this path
+   exercises. *)
 
 let connect_client socket =
   let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
@@ -1085,6 +1443,47 @@ let test_socket_daemon () =
   let engine2 = Domain.join daemon2 in
   Alcotest.(check int) "restart tuned nothing" 0
     (Service.Engine.counters engine2).tunes_run
+
+(* A tune long enough (about 0.3s at 120 trials) that a client can do
+   several round trips while it runs. *)
+let line_slow = "TUNE cin=64 cout=64 size=56 k=3 pad=1 arch=v100"
+
+(* The idle deadline spares a client still owed an answer.  The clock is
+   stepped past the deadline while the tune runs: the connection waiting on
+   it gets its tuned answer, and a truly idle one still times out. *)
+let test_idle_deadline_spares_waiting_client () =
+  let dir = temp_dir "service-owed" in
+  let socket = Filename.concat dir "tuned.sock" in
+  let now = Atomic.make 0.0 in
+  let stop = Atomic.make false in
+  let daemon =
+    Domain.spawn (fun () ->
+        Service.Daemon.serve ~socket ~cache:(Filename.concat dir "cache")
+          ~settings:{ fast with budget_trials = 120 }
+          ~stop ~read_deadline_s:1.0
+          ~clock:(fun () -> Atomic.get now)
+          ~install_signal_handlers:false ())
+  in
+  let waiting = connect_client socket in
+  send_line waiting line_slow;
+  let idle = connect_client socket in
+  send_line idle "PING";
+  Alcotest.(check string) "idle client registered" "PONG" (read_line_fd idle);
+  Atomic.set now 10.0;
+  (* Any activity wakes the loop, which then enforces the deadlines. *)
+  let waker = connect_client socket in
+  send_line waker "PING";
+  Alcotest.(check string) "loop awake" "PONG" (read_line_fd waker);
+  (match Service.Protocol.parse_response (read_line_fd idle) with
+  | Some (Service.Protocol.Error Service.Protocol.Timeout) -> ()
+  | _ -> Alcotest.fail "expected ERR timeout for the idle connection");
+  let p = parse_ok (read_line_fd waiting) in
+  Alcotest.(check string) "the waiting client gets its tune" "tuned"
+    (Service.Protocol.source_to_string p.source);
+  List.iter Unix.close [ waiting; idle; waker ];
+  Atomic.set stop true;
+  ignore (Domain.join daemon);
+  rm_rf dir
 
 (* --- arch alias mapping: how the wire (and the gold fleet) addresses GPUs --- *)
 
@@ -1254,6 +1653,9 @@ let () =
             test_degraded_not_cached;
           Alcotest.test_case "empty domains answer ERR domain" `Quick
             test_domain_error_typed;
+          Alcotest.test_case "journals named by tune identity" `Quick
+            test_journal_named_by_identity;
+          QCheck_alcotest.to_alcotest qcheck_engine_model;
         ] );
       ( "crash",
         [
@@ -1271,7 +1673,9 @@ let () =
             test_background_scrub;
         ] );
       ( "socket",
-        if deep then
-          [ Alcotest.test_case "live daemon smoke" `Quick test_socket_daemon ]
-        else [] );
+        [
+          Alcotest.test_case "live daemon smoke" `Quick test_socket_daemon;
+          Alcotest.test_case "idle deadline spares a client owed a tune" `Quick
+            test_idle_deadline_spares_waiting_client;
+        ] );
     ]
