@@ -44,7 +44,8 @@ chaos-deep:
 
 # Hot-path checks: histogram-vs-exact GBT ranking agreement + frontier-vs-
 # legacy oracle equality.  Smoke (<10s) is part of the default runtest; deep
-# adds a 2k-sample GBT speedup check and the 24-vertex oracle differential.
+# adds the GBT speed parity check (exact and hist within 1.5x of each other
+# at 2k and 4k samples) and the 24-vertex oracle differential.
 hotpath-smoke:
 	dune build @hotpath-smoke
 
@@ -130,11 +131,12 @@ bench-fleet:
 # The full fast gate a commit must pass: build, every test suite (the
 # default runtest already folds in the @*-smoke aliases, including the
 # cold gold-file slice @gold-smoke and the audit envelope @audit-smoke),
-# and the bench smoke checks (parallel == sequential scaling, service
-# cache/coalescing, network resilience, fleet sweep, audit overhead).
+# the bench smoke checks (parallel == sequential scaling, service
+# cache/coalescing, network resilience, fleet sweep, audit overhead) and
+# the deep hot-path gate (GBT speed parity, 24-vertex oracle differential).
 ci: build
 	dune runtest
-	dune build @bench-smoke @service-bench-smoke @net-bench-smoke @fleet-smoke @audit-smoke
+	dune build @bench-smoke @service-bench-smoke @net-bench-smoke @fleet-smoke @audit-smoke @hotpath-deep
 
 clean:
 	dune clean

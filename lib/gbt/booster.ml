@@ -56,17 +56,21 @@ let train ?rng ?domains params data =
   let targets = Dataset.targets data in
   let base_score = Util.Stats.mean targets in
   let predictions = Array.make n base_score in
-  (* Histogram training quantises the dataset once per [train] call; every
-     round's trees then share the same bin matrix and cut points. *)
-  let binned =
+  (* Each split method prepares its view of the dataset once per [train]
+     call (sorted orders, or bin matrix and cut points); every round's tree
+     shares it, since only the gradients change between rounds.  The hist
+     path also reuses [leaf_out] across rounds: [fit_hist] fills every slot
+     with the owning leaf's weight, sparing it a predict walk per sample. *)
+  let fit_tree, leaf_out =
     match params.split_method with
-    | Exact -> None
-    | Hist -> Some (Dataset.bin ~max_bins:params.max_bins data)
-  in
-  (* Reused across rounds; [fit_hist] fills every slot with the owning
-     leaf's weight, sparing the hist path a predict walk per sample. *)
-  let leaf_out =
-    match binned with Some _ -> Some (Array.make n 0.0) | None -> None
+    | Exact ->
+      let sorted = Dataset.presort data in
+      ((fun ~grad ~hess -> Tree.fit ~domains params.tree sorted ~grad ~hess), None)
+    | Hist ->
+      let binned = Dataset.bin ~max_bins:params.max_bins data in
+      let leaf_out = Array.make n 0.0 in
+      ( (fun ~grad ~hess -> Tree.fit_hist ~domains ~leaf_out params.tree binned ~grad ~hess),
+        Some leaf_out )
   in
   let trees = ref [] in
   for _ = 1 to params.rounds do
@@ -84,11 +88,7 @@ let train ?rng ?domains params data =
         end
       done
     | _ -> ());
-    let tree =
-      match binned with
-      | None -> Tree.fit ~domains params.tree data ~grad ~hess
-      | Some b -> Tree.fit_hist ~domains ?leaf_out params.tree b ~grad ~hess
-    in
+    let tree = fit_tree ~grad ~hess in
     trees := tree :: !trees;
     (* Each slot is touched by exactly one iteration, so the update is a pure
        disjoint-write loop and parallelises without changing any result.  The

@@ -6,15 +6,18 @@
     shrinkage [learning_rate], starting from the mean target.
 
     Multicore: [train] and [predict_many] fan work out over [Pool.default]
-    when [domains > 1] — per-feature split scans and subtree builds inside
-    [Tree.fit], the per-round prediction-update loop, and batch prediction.
+    when [domains > 1] — subtree builds inside [Tree.fit] (and histogram
+    accumulation inside [Tree.fit_hist]), the per-round prediction-update
+    loop, and batch prediction.
     Boosting itself stays sequential (round [k+1] needs round [k]'s
     residuals), and every parallel stage writes disjoint slots and combines
     in a fixed order, so the trained model and all predictions are
     bit-identical for every domain count. *)
 
 type split_method =
-  | Exact  (** presort-per-tree, scans every sample of a node per feature *)
+  | Exact
+      (** [Tree.fit]: sorts once per [train] call, then splits each tree's
+          nodes in place, scanning every sample of a node per feature *)
   | Hist  (** quantised histogram bins, [Tree.fit_hist] *)
 
 val split_method_tag : split_method -> string

@@ -45,6 +45,43 @@ let fold t ~init f =
   done;
   !acc
 
+(* --- Presorted view for exact split finding ---
+
+   Built once per booster: only the gradients change between rounds, so
+   every tree reads the same feature-major value columns and the same
+   per-feature sample orders.  Ties are broken by sample index, which makes
+   each order unique — the property that keeps [Tree.fit]'s per-feature
+   sums in one fixed order. *)
+
+type presorted = { sorted_n : int; columns : float array array; orders : int array array }
+
+let presort t =
+  let n = t.size in
+  let columns = Array.init t.n_features (fun f -> Array.init n (fun i -> t.rows.(i).(f))) in
+  let orders =
+    Array.map
+      (fun col ->
+        let order = Array.init n Fun.id in
+        (* The common cases first; [Float.compare] settles ties and NaNs. *)
+        Array.stable_sort
+          (fun i j ->
+            let a = col.(i) and b = col.(j) in
+            if a < b then -1
+            else if a > b then 1
+            else
+              let c = Float.compare a b in
+              if c <> 0 then c else Int.compare i j)
+          order;
+        order)
+      columns
+  in
+  { sorted_n = n; columns; orders }
+
+let presorted_length p = p.sorted_n
+let presorted_n_features p = Array.length p.columns
+let column p f = p.columns.(f)
+let sorted_order p f = p.orders.(f)
+
 (* --- Binned view for histogram split finding ---
 
    Quantised once per booster: every feature value is mapped to a small bin
@@ -94,7 +131,7 @@ let bin ?(max_bins = max_supported_bins) t =
     let counts = Array.of_list (List.rev !counts) in
     let nd = Array.length distinct in
     (* Close a bin between distinct values [i] and [i + 1]; the threshold is
-       their midpoint, matching [Tree.best_split_on_sorted]. *)
+       their midpoint, matching [Tree.fit]'s candidate thresholds. *)
     let boundaries =
       if nd <= max_bins then List.init (max 0 (nd - 1)) (fun i -> i)
       else begin

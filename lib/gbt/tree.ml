@@ -10,136 +10,147 @@ let leaf_weight params g h = -.g /. (h +. params.lambda)
 
 let score params g h = g *. g /. (h +. params.lambda)
 
-(* Work thresholds below which fanning a stage out across domains costs more
-   than the stage itself; below them the code runs inline on the caller. *)
-let presort_grain = 4096
-let feature_scan_grain = 4096
+(* Below this many samples a node builds its two subtrees inline: handing
+   them to the pool costs more than building them. *)
 let subtree_grain = 128
 
-(* Best split of a node on one feature, given the node's indices already
-   sorted by that feature's value: scan prefix gradient sums and place
-   thresholds between distinct consecutive values. *)
-let best_split_on_sorted params ~value ~grad ~hess ~sorted =
-  let n = Array.length sorted in
-  let g_total = Array.fold_left (fun acc i -> acc +. grad.(i)) 0.0 sorted in
-  let h_total = Array.fold_left (fun acc i -> acc +. hess.(i)) 0.0 sorted in
-  let base = score params g_total h_total in
-  let best = ref None in
-  let g_left = ref 0.0 and h_left = ref 0.0 in
-  for pos = 0 to n - 2 do
-    let i = sorted.(pos) in
-    g_left := !g_left +. grad.(i);
-    h_left := !h_left +. hess.(i);
-    let v = value i and v' = value sorted.(pos + 1) in
-    if v < v' then begin
-      let gain =
-        (0.5
-        *. (score params !g_left !h_left
-           +. score params (g_total -. !g_left) (h_total -. !h_left)
-           -. base))
-        -. params.gamma
-      in
-      match !best with
-      | Some (best_gain, _, _) when best_gain >= gain -> ()
-      | _ -> best := Some (gain, (v +. v') /. 2.0, pos + 1)
-    end
-  done;
-  match !best with
-  | Some (gain, threshold, split_pos) when gain > 0.0 -> Some (gain, threshold, split_pos)
-  | _ -> None
+(* --- Exact split finding ---
 
-let fit ?(domains = 1) params data ~grad ~hess =
-  let n = Dataset.length data in
+   Every node owns one segment [lo, hi) of a few per-tree work arrays: for
+   each feature, the node's samples in that feature's (value, index) order,
+   and the node's samples in ascending index order.  A split marks its left
+   members in a byte mask and stable-partitions every segment, so each child
+   again owns one segment of each array, still sorted: no node sorts or
+   copies an array.
+
+   Every floating-point sum runs in one fixed order, so the tree never
+   depends on the domain count: a node's totals in ascending sample index,
+   each feature's totals and prefix sums in that feature's (value, index)
+   order.  Candidates sit only between distinct consecutive values, the
+   first of equal gains wins within a feature and then across features in
+   feature order, and a split needs a positive gain. *)
+
+let fit ?(domains = 1) params sorted ~grad ~hess =
+  let n = Dataset.presorted_length sorted in
   if Array.length grad <> n || Array.length hess <> n then
     invalid_arg "Tree.fit: gradient arity mismatch";
-  let n_features = Dataset.n_features data in
-  let value f i = (Dataset.features data i).(f) in
-  (* Pre-sort every feature's index order once per tree (ties broken by index
-     so the order is unique); nodes below re-derive their orders by filtering,
-     never by sorting again. *)
-  let presort_domains = if n * n_features >= presort_grain then domains else 1 in
-  let root_sorted =
-    Util.Parallel.map ~domains:presort_domains (Array.init n_features Fun.id) (fun f ->
-        let order = Array.init n Fun.id in
-        Array.sort
-          (fun i j ->
-            let c = compare (value f i) (value f j) in
-            if c <> 0 then c else compare i j)
-          order;
-        order)
+  let n_features = Dataset.presorted_n_features sorted in
+  let columns = Array.init n_features (Dataset.column sorted) in
+  (* One array per feature rather than one flat array: at tuner sizes each
+     stays small enough for the minor heap, so a tree's work arrays die
+     young instead of pacing major collections. *)
+  let orders = Array.init n_features (fun f -> Array.copy (Dataset.sorted_order sorted f)) in
+  let members = Array.init n Fun.id in
+  let left = Bytes.make n '\000' in
+  (* A segment only ever uses slots [lo, hi) of [scratch], so sibling
+     subtrees can partition concurrently. *)
+  let scratch = Array.make n 0 in
+  (* Stable partition of [arr]'s slots [lo, hi): members marked in [left]
+     first, the rest after, each side in its old order. *)
+  let partition arr lo hi =
+    let l = ref lo and r = ref lo in
+    for k = lo to hi - 1 do
+      (* Branch-free: write [i] to both sides and advance the side it belongs
+         to.  A stray write to [arr] lands at or below [k], on a slot already
+         read, and is overwritten by a later left member or the final blit. *)
+      let i = Array.unsafe_get arr k in
+      let is_left = Char.code (Bytes.unsafe_get left i) in
+      Array.unsafe_set arr !l i;
+      Array.unsafe_set scratch !r i;
+      l := !l + is_left;
+      r := !r + 1 - is_left
+    done;
+    Array.blit scratch lo arr !l (!r - lo)
   in
-  (* [node] is the node's index set in insertion order; [sorted] holds the
-     same set once per feature, each in that feature's value order. *)
-  let rec build node sorted depth =
-    let m = Array.length node in
-    let g = Array.fold_left (fun acc i -> acc +. grad.(i)) 0.0 node in
-    let h = Array.fold_left (fun acc i -> acc +. hess.(i)) 0.0 node in
-    let as_leaf () = Leaf (leaf_weight params g h) in
-    if depth >= params.max_depth || m < params.min_samples then as_leaf ()
+  (* Best split of segment [lo, hi) on feature [f] as (gain, number of
+     samples going left), scanning prefix sums in the feature's order. *)
+  let best_on_feature f lo hi =
+    let col = columns.(f) and order = orders.(f) in
+    (* Equal ends of a sorted segment mean one value throughout, so no
+       candidate; a NaN end compares unequal and gets the full scan. *)
+    if hi - lo < 2 || col.(order.(lo)) = col.(order.(hi - 1)) then None
     else begin
-      let scan_domains = if m * n_features >= feature_scan_grain then domains else 1 in
-      let candidates =
-        Util.Parallel.mapi ~domains:scan_domains sorted (fun f sorted_f ->
-            best_split_on_sorted params ~value:(value f) ~grad ~hess ~sorted:sorted_f)
-      in
-      (* Fold candidates in feature order (strictly-greater gain wins) so the
-         chosen split never depends on the domain count. *)
+      let g_total = ref 0.0 and h_total = ref 0.0 in
+      for k = lo to hi - 1 do
+        let i = Array.unsafe_get order k in
+        g_total := !g_total +. Array.unsafe_get grad i;
+        h_total := !h_total +. Array.unsafe_get hess i
+      done;
+      let g_total = !g_total and h_total = !h_total in
+      let parent = score params g_total h_total in
+      let best_gain = ref 0.0 and best_k = ref (-1) in
+      let g_left = ref 0.0 and h_left = ref 0.0 in
+      for k = lo to hi - 2 do
+        let i = Array.unsafe_get order k in
+        g_left := !g_left +. Array.unsafe_get grad i;
+        h_left := !h_left +. Array.unsafe_get hess i;
+        if Array.unsafe_get col i < Array.unsafe_get col (Array.unsafe_get order (k + 1))
+        then begin
+          let gain =
+            (0.5
+            *. (score params !g_left !h_left
+               +. score params (g_total -. !g_left) (h_total -. !h_left)
+               -. parent))
+            -. params.gamma
+          in
+          (* [not (>=)] rather than [<]: a NaN gain replaces the running best. *)
+          if !best_k < 0 || not (!best_gain >= gain) then begin
+            best_gain := gain;
+            best_k := k
+          end
+        end
+      done;
+      if !best_k >= 0 && !best_gain > 0.0 then Some (!best_gain, !best_k + 1 - lo) else None
+    end
+  in
+  let rec build lo hi depth =
+    let g = ref 0.0 and h = ref 0.0 in
+    for k = lo to hi - 1 do
+      let i = Array.unsafe_get members k in
+      g := !g +. Array.unsafe_get grad i;
+      h := !h +. Array.unsafe_get hess i
+    done;
+    let weight = leaf_weight params !g !h in
+    if depth >= params.max_depth || hi - lo < params.min_samples then Leaf weight
+    else begin
       let best = ref None in
-      Array.iteri
-        (fun f candidate ->
-          match candidate with
-          | None -> ()
-          | Some (gain, threshold, split_pos) -> begin
-            match !best with
-            | Some (best_gain, _, _, _) when best_gain >= gain -> ()
-            | _ -> best := Some (gain, f, threshold, split_pos)
-          end)
-        candidates;
+      for f = 0 to n_features - 1 do
+        match best_on_feature f lo hi with
+        | None -> ()
+        | Some (gain, n_left) -> begin
+          match !best with
+          | Some (best_gain, _, _) when best_gain >= gain -> ()
+          | _ -> best := Some (gain, f, n_left)
+        end
+      done;
       match !best with
-      | None -> as_leaf ()
-      | Some (_, feature, threshold, split_pos) ->
-        let chosen = sorted.(feature) in
-        let left_mask = Array.make n false in
-        for pos = 0 to split_pos - 1 do
-          left_mask.(chosen.(pos)) <- true
+      | None -> Leaf weight
+      | Some (_, feature, n_left) ->
+        let mid = lo + n_left and col = columns.(feature) and order = orders.(feature) in
+        let threshold = (col.(order.(mid - 1)) +. col.(order.(mid))) /. 2.0 in
+        for k = lo to hi - 1 do
+          Bytes.unsafe_set left (Array.unsafe_get order k) (if k < mid then '\001' else '\000')
         done;
-        (* Filtering a sorted order preserves it, so children inherit their
-           per-feature orders in O(m) instead of re-sorting. *)
-        let filter keep arr =
-          let out = Array.make (if keep then split_pos else m - split_pos) 0 in
-          let j = ref 0 in
-          Array.iter
-            (fun i ->
-              if left_mask.(i) = keep then begin
-                out.(!j) <- i;
-                incr j
-              end)
-            arr;
-          out
-        in
-        let left_node = filter true node and right_node = filter false node in
-        let left_sorted = Array.map (filter true) sorted in
-        let right_sorted = Array.map (filter false) sorted in
-        if domains > 1 && m >= subtree_grain then begin
-          let left = ref (Leaf 0.0) and right = ref (Leaf 0.0) in
+        (* The chosen feature's segment is already split at [mid]. *)
+        partition members lo hi;
+        for f = 0 to n_features - 1 do
+          if f <> feature then partition orders.(f) lo hi
+        done;
+        if domains > 1 && hi - lo >= subtree_grain then begin
+          let l = ref (Leaf 0.0) and r = ref (Leaf 0.0) in
           Util.Pool.run_all (Util.Pool.default ())
             [
-              (fun () -> left := build left_node left_sorted (depth + 1));
-              (fun () -> right := build right_node right_sorted (depth + 1));
+              (fun () -> l := build lo mid (depth + 1));
+              (fun () -> r := build mid hi (depth + 1));
             ];
-          Split { feature; threshold; left = !left; right = !right }
+          Split { feature; threshold; left = !l; right = !r }
         end
         else
           Split
-            {
-              feature;
-              threshold;
-              left = build left_node left_sorted (depth + 1);
-              right = build right_node right_sorted (depth + 1);
-            }
+            { feature; threshold; left = build lo mid (depth + 1); right = build mid hi (depth + 1) }
     end
   in
-  build (Array.init n Fun.id) root_sorted 0
+  build 0 n 0
 
 (* --- Histogram split finding ---
 

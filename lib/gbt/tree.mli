@@ -20,16 +20,21 @@ val default_params : params
 
 type t
 
-val fit : ?domains:int -> params -> Dataset.t -> grad:float array -> hess:float array -> t
-(** Fits one tree to the per-sample gradient statistics.  Arrays must have
-    the dataset's length.
+val fit :
+  ?domains:int -> params -> Dataset.presorted -> grad:float array -> hess:float array -> t
+(** Exact split finding: fits one tree to the per-sample gradient
+    statistics.  Arrays must have the dataset's length.
 
-    Per-feature sorted index orders are computed once per tree and filtered
-    down the recursion (children never re-sort).  With [domains > 1]
-    (default 1) the per-feature split scans and the two subtree builds fan
-    out over [Pool.default]; the fitted tree is bit-identical for every
-    domain count: split candidates are folded in feature order and all
-    floating-point accumulations happen in a fixed sequential order. *)
+    Starts from the {!Dataset.presorted} orders (sorted once per booster,
+    not per tree) and never sorts again: each node owns one segment of a
+    per-tree copy of every feature's order, and a split stable-partitions
+    those segments in place, so the children inherit sorted orders without
+    allocating.  Candidate thresholds are midpoints between distinct
+    consecutive values.  With [domains > 1] (default 1) the two subtrees of
+    a node of at least 128 samples build in parallel on [Pool.default]; the
+    fitted tree is bit-identical for every domain count: split candidates
+    are folded in feature order and every floating-point sum runs in one
+    fixed sequential order. *)
 
 val fit_hist :
   ?domains:int ->

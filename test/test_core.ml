@@ -462,6 +462,31 @@ let test_cost_model_learns_ordering () =
   let accuracy = float_of_int !agree /. float_of_int !total in
   Alcotest.(check bool) (Printf.sprintf "ranking accuracy %.2f" accuracy) true (accuracy > 0.65)
 
+(* The tuner's cost model, pinned bit for bit: a 60-round booster on the
+   120-sample dataset a tune would build for ResNet-18's 64x56x56 3x3 layer
+   on V100 (configs from [Search_space.sample] under seed 0, priced by the
+   tuner's robust measurement).  A drift of one bit anywhere in training (a
+   summation order, a tie rule, a threshold) moves the digest, and with it
+   every tuned answer and gold file downstream. *)
+let test_cost_model_pinned () =
+  let arch = Gpu_sim.Arch.v100 in
+  let spec = Spec.make ~c_in:64 ~h_in:56 ~w_in:56 ~c_out:64 ~k_h:3 ~k_w:3 ~pad:1 () in
+  let space = Core.Search_space.make arch spec Core.Config.Direct_dataflow in
+  let rng = Util.Rng.create 0 in
+  let model = Core.Cost_model.create spec in
+  for _ = 1 to 120 do
+    let cfg = Core.Search_space.sample space rng in
+    match Core.Tuner.measure_config_robust arch spec cfg with
+    | Ok us, _ -> Core.Cost_model.add_measurement model cfg us
+    | Error _, _ -> Core.Cost_model.add_failure model cfg
+  done;
+  Core.Cost_model.retrain ~domains:1 model;
+  match Core.Cost_model.snapshot model with
+  | None -> Alcotest.fail "model not trained"
+  | Some compact ->
+    Alcotest.(check string) "digest of to_compact" "ff10b64ab1ff34b6888c003f92660f7c"
+      (Digest.to_hex (Digest.string compact))
+
 let test_cost_model_untrained_constant () =
   let model = Core.Cost_model.create spec_layer in
   let space = direct_space () in
@@ -1019,6 +1044,7 @@ let () =
         [
           Alcotest.test_case "learns ranking" `Slow test_cost_model_learns_ordering;
           Alcotest.test_case "untrained constant" `Quick test_cost_model_untrained_constant;
+          Alcotest.test_case "tuner model pinned bit for bit" `Quick test_cost_model_pinned;
         ] );
       ( "tuning",
         [

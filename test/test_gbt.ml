@@ -47,7 +47,7 @@ let test_tree_splits_step_function () =
   (* With prediction 0, grad = pred - y = -y; leaf weights recover ~y for
      small lambda. *)
   let params = { Gbt.Tree.default_params with lambda = 1e-6; max_depth = 2 } in
-  let tree = Gbt.Tree.fit params data ~grad ~hess in
+  let tree = Gbt.Tree.fit params (Gbt.Dataset.presort data) ~grad ~hess in
   Alcotest.(check bool) "split found" true (Gbt.Tree.num_leaves tree >= 2);
   Alcotest.(check bool) "positive side" true
     (Float.abs (Gbt.Tree.predict tree [| 1.0; 0.0 |] -. 10.0) < 0.5);
@@ -58,7 +58,7 @@ let test_tree_pure_leaf_no_split () =
   let data = make_dataset 50 (fun _ _ -> 3.0) in
   let n = Gbt.Dataset.length data in
   let grad = Array.make n 0.0 and hess = Array.make n 1.0 in
-  let tree = Gbt.Tree.fit Gbt.Tree.default_params data ~grad ~hess in
+  let tree = Gbt.Tree.fit Gbt.Tree.default_params (Gbt.Dataset.presort data) ~grad ~hess in
   Alcotest.(check int) "constant target: single leaf" 1 (Gbt.Tree.num_leaves tree)
 
 let test_tree_depth_limited () =
@@ -67,7 +67,7 @@ let test_tree_depth_limited () =
   let grad = Array.init n (fun i -> -.Gbt.Dataset.target data i) in
   let hess = Array.make n 1.0 in
   let params = { Gbt.Tree.default_params with max_depth = 3 } in
-  let tree = Gbt.Tree.fit params data ~grad ~hess in
+  let tree = Gbt.Tree.fit params (Gbt.Dataset.presort data) ~grad ~hess in
   Alcotest.(check bool) "depth bounded" true (Gbt.Tree.depth tree <= 3)
 
 let test_booster_fits_linear () =
@@ -140,6 +140,113 @@ let test_training_parallel_equals_sequential () =
         (Printf.sprintf "bit-identical predictions at domains=%d" domains)
         expected got)
     [ 2; 4; 8 ]
+
+(* The exact split finder's specification, kept here as a naive reference:
+   every node re-sorts its own samples by (value, index) on each feature and
+   scans them with the same sums and tie rules — node totals in ascending
+   sample index, per-feature totals and prefix sums in that feature's order,
+   candidates only between distinct values at their midpoint, the first of
+   equal gains winning within a feature and then in feature order, and a
+   split only on positive gain.  It emits [Tree.to_compact]'s encoding. *)
+let reference_compact (params : Gbt.Tree.params) rows ~n_features ~grad ~hess =
+  let score g h = g *. g /. (h +. params.lambda) in
+  let sum a node = List.fold_left (fun acc i -> acc +. a.(i)) 0.0 node in
+  let tokens = ref [] in
+  let rec build node depth =
+    let leaf () =
+      tokens := Printf.sprintf "L:%h" (-.sum grad node /. (sum hess node +. params.lambda)) :: !tokens
+    in
+    if depth >= params.max_depth || List.length node < params.min_samples then leaf ()
+    else begin
+      let best = ref None in
+      for f = 0 to n_features - 1 do
+        let sorted =
+          Array.of_list
+            (List.sort (fun i j -> compare (rows.(i).(f), i) (rows.(j).(f), j)) node)
+        in
+        let g_total = sum grad (Array.to_list sorted) and h_total = sum hess (Array.to_list sorted) in
+        let base = score g_total h_total in
+        let on_f = ref None and g_left = ref 0.0 and h_left = ref 0.0 in
+        for pos = 0 to Array.length sorted - 2 do
+          g_left := !g_left +. grad.(sorted.(pos));
+          h_left := !h_left +. hess.(sorted.(pos));
+          let v = rows.(sorted.(pos)).(f) and v' = rows.(sorted.(pos + 1)).(f) in
+          if v < v' then begin
+            let gain =
+              (0.5
+              *. (score !g_left !h_left +. score (g_total -. !g_left) (h_total -. !h_left) -. base))
+              -. params.gamma
+            in
+            match !on_f with
+            | Some (best_gain, _, _) when best_gain >= gain -> ()
+            | _ -> on_f := Some (gain, (v +. v') /. 2.0, Array.to_list (Array.sub sorted 0 (pos + 1)))
+          end
+        done;
+        match (!on_f, !best) with
+        | Some (gain, _, _), _ when not (gain > 0.0) -> ()
+        | Some (gain, _, _), Some (best_gain, _, _, _) when best_gain >= gain -> ()
+        | Some (gain, threshold, left), _ -> best := Some (gain, f, threshold, left)
+        | None, _ -> ()
+      done;
+      match !best with
+      | None -> leaf ()
+      | Some (_, f, threshold, left) ->
+        tokens := Printf.sprintf "S:%d:%h" f threshold :: !tokens;
+        build (List.filter (fun i -> List.mem i left) node) (depth + 1);
+        build (List.filter (fun i -> not (List.mem i left)) node) (depth + 1)
+    end
+  in
+  build (List.init (Array.length rows) Fun.id) 0;
+  String.concat " " (List.rev !tokens)
+
+(* Feature values come from four levels, so ties within a feature and
+   duplicate rows are common; only the first [n_features] of each row's five
+   levels are used.  A gradient or hessian is either rounded to an integer,
+   which makes equal gains (and so the tie rules) common, or left as drawn.
+   Empty and one-row datasets get a share of their own: they are the edge
+   of the segment scans. *)
+let arb_tree_case =
+  QCheck.(
+    pair
+      (quad (int_range 1 5) (int_range 0 6) (int_range 0 4) (pair bool bool))
+      (list_of_size
+         Gen.(frequency [ (1, return 0); (1, return 1); (8, int_range 2 40) ])
+         (triple
+            (array_of_size (Gen.return 5) (int_range 0 3))
+            (pair bool (float_range (-2.0) 2.0))
+            (pair bool (float_range 0.0 2.0)))))
+
+let statistic (round, x) = if round then Float.round x else x
+
+let qcheck_fit_matches_reference =
+  QCheck.Test.make ~name:"fit matches the naive reference at domains 1 and 2" ~count:1000
+    arb_tree_case
+    (fun ((n_features, max_depth, min_samples, (small_lambda, with_gamma)), samples) ->
+      let params =
+        {
+          Gbt.Tree.max_depth;
+          min_samples;
+          lambda = (if small_lambda then 0.25 else 1.0);
+          gamma = (if with_gamma then 0.5 else 0.0);
+        }
+      in
+      let rows =
+        Array.of_list
+          (List.map
+             (fun (levels, _, _) ->
+               Array.init n_features (fun f -> (0.5 *. float_of_int levels.(f)) -. 0.5))
+             samples)
+      in
+      let grad = Array.of_list (List.map (fun (_, g, _) -> statistic g) samples) in
+      let hess = Array.of_list (List.map (fun (_, _, h) -> statistic h) samples) in
+      let data = Gbt.Dataset.create ~n_features in
+      Array.iter (fun x -> Gbt.Dataset.add data x 0.0) rows;
+      let sorted = Gbt.Dataset.presort data in
+      let expected = reference_compact params rows ~n_features ~grad ~hess in
+      List.for_all
+        (fun domains ->
+          Gbt.Tree.to_compact (Gbt.Tree.fit ~domains params sorted ~grad ~hess) = expected)
+        [ 1; 2 ])
 
 (* --- binned view + histogram split finding --- *)
 
@@ -220,7 +327,7 @@ let test_hist_tree_identical_on_binnable () =
   let n = Gbt.Dataset.length d in
   let grad = Array.init n (fun i -> -.Gbt.Dataset.target d i) in
   let hess = Array.make n 1.0 in
-  let exact = Gbt.Tree.fit Gbt.Tree.default_params d ~grad ~hess in
+  let exact = Gbt.Tree.fit Gbt.Tree.default_params (Gbt.Dataset.presort d) ~grad ~hess in
   let hist =
     Gbt.Tree.fit_hist Gbt.Tree.default_params (Gbt.Dataset.bin d) ~grad ~hess
   in
@@ -322,6 +429,7 @@ let () =
           Alcotest.test_case "splits step function" `Quick test_tree_splits_step_function;
           Alcotest.test_case "pure leaf" `Quick test_tree_pure_leaf_no_split;
           Alcotest.test_case "depth limited" `Quick test_tree_depth_limited;
+          QCheck_alcotest.to_alcotest qcheck_fit_matches_reference;
         ] );
       ( "booster",
         [
