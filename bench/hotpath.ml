@@ -76,22 +76,22 @@ let gbt_rebuild_pair ~n ~seed =
   let rho = Util.Stats.spearman (predictions exact data) (predictions hist data) in
   (best fst, best snd, rho)
 
-(* Speed parity of the two split methods where they meet: a one-sided
-   "hist is faster" claim would let the exact path (the tuner's default)
-   slow down unseen, so each path is bounded by the other.  Exact may take
-   at most [exact_slack] times hist's time, hist at most [hist_slack] times
-   exact's.  Hist gets the wider band because exact is already faster at
-   n=2048: it took 0.54-0.77 of hist's time over 16 runs on a 2-core host,
-   so a 1.5x band on that side would fail about every other run. *)
+(* Speed parity of the two split methods: a one-sided "hist is faster"
+   claim would let the exact path (the tuner's default) slow down unseen, so
+   each path is bounded by the other, at most [parity_band] times its time.
+   Exact is bounded at every size in [parity_sizes], hist only at
+   [hist_parity_sizes], where the two are at parity.  At n=2048 exact is the
+   faster path (hist took 1.3-1.85x its time on a 2-core host), so there is
+   no parity for hist to keep. *)
+let parity_band = 1.5
 let parity_sizes = [ 2048; 4096 ]
-let exact_slack = 1.5
-let hist_slack = 2.0
+let hist_parity_sizes = [ 4096 ]
 
 let check_parity ~n ~exact_s ~hist_s =
-  let ratio = exact_s /. hist_s in
-  if ratio > exact_slack || ratio < 1.0 /. hist_slack then
-    fail "GBT exact/hist time ratio %.2f outside [1/%.1f, %.1f] at n=%d (exact %.3fs, hist %.3fs)"
-      ratio hist_slack exact_slack n exact_s hist_s
+  if exact_s > parity_band *. hist_s then
+    fail "GBT exact %.3fs > %.1fx hist %.3fs at n=%d" exact_s parity_band hist_s n;
+  if List.mem n hist_parity_sizes && hist_s > parity_band *. exact_s then
+    fail "GBT hist %.3fs > %.1fx exact %.3fs at n=%d" hist_s parity_band exact_s n
 
 let describe_verdict = function
   | Verify.Oracle.Optimal { q_opt; expanded; _ } ->
@@ -267,7 +267,8 @@ let full () =
        (json_escape name) deep_s Verify.Oracle.default_budget ls q fe fs);
   Buffer.add_string buf
     "  \"note\": \"GBT: 60-round boosters on a synthetic 8-feature regression, single domain, \
-     fixed seed, best of 3, exact within 1.5x of hist and hist within 2x of exact at n >= 2048; tuner: best configs under Hist within the documented tolerance of Exact; \
+     fixed seed, best of 3, exact within 1.5x of hist at n >= 2048 and hist within 1.5x of \
+     exact at n = 4096; tuner: best configs under Hist within the documented tolerance of Exact; \
      oracle: q_opt asserted equal on every smoke-grid pair, and the 24-vertex Winograd tile \
      is solvable only by the frontier engine at the default budget\"\n}\n";
   Util.Durable.write_atomic "BENCH_hotpath.json" (Buffer.contents buf);

@@ -65,7 +65,7 @@ let train ?rng ?domains params data =
     match params.split_method with
     | Exact ->
       let sorted = Dataset.presort data in
-      ((fun ~grad ~hess -> Tree.fit ~domains params.tree sorted ~grad ~hess), None)
+      ((fun ~grad ~hess -> Tree.fit params.tree sorted ~grad ~hess), None)
     | Hist ->
       let binned = Dataset.bin ~max_bins:params.max_bins data in
       let leaf_out = Array.make n 0.0 in

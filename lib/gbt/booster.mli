@@ -6,9 +6,9 @@
     shrinkage [learning_rate], starting from the mean target.
 
     Multicore: [train] and [predict_many] fan work out over [Pool.default]
-    when [domains > 1] — subtree builds inside [Tree.fit] (and histogram
-    accumulation inside [Tree.fit_hist]), the per-round prediction-update
-    loop, and batch prediction.
+    when [domains > 1] — histogram accumulation and subtree builds inside
+    [Tree.fit_hist], the per-round prediction-update loop, and batch
+    prediction.  The exact path's [Tree.fit] builds sequentially.
     Boosting itself stays sequential (round [k+1] needs round [k]'s
     residuals), and every parallel stage writes disjoint slots and combines
     in a fixed order, so the trained model and all predictions are

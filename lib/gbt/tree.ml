@@ -10,10 +10,6 @@ let leaf_weight params g h = -.g /. (h +. params.lambda)
 
 let score params g h = g *. g /. (h +. params.lambda)
 
-(* Below this many samples a node builds its two subtrees inline: handing
-   them to the pool costs more than building them. *)
-let subtree_grain = 128
-
 (* --- Exact split finding ---
 
    Every node owns one segment [lo, hi) of a few per-tree work arrays: for
@@ -23,14 +19,14 @@ let subtree_grain = 128
    again owns one segment of each array, still sorted: no node sorts or
    copies an array.
 
-   Every floating-point sum runs in one fixed order, so the tree never
-   depends on the domain count: a node's totals in ascending sample index,
-   each feature's totals and prefix sums in that feature's (value, index)
-   order.  Candidates sit only between distinct consecutive values, the
-   first of equal gains wins within a feature and then across features in
-   feature order, and a split needs a positive gain. *)
+   Every floating-point sum runs in one fixed order: a node's totals in
+   ascending sample index, each feature's totals and prefix sums in that
+   feature's (value, index) order.  Candidates sit only between distinct
+   consecutive values, the first of equal gains wins within a feature and
+   then across features in feature order, and a split needs a positive
+   gain. *)
 
-let fit ?(domains = 1) params sorted ~grad ~hess =
+let fit params sorted ~grad ~hess =
   let n = Dataset.presorted_length sorted in
   if Array.length grad <> n || Array.length hess <> n then
     invalid_arg "Tree.fit: gradient arity mismatch";
@@ -42,11 +38,10 @@ let fit ?(domains = 1) params sorted ~grad ~hess =
   let orders = Array.init n_features (fun f -> Array.copy (Dataset.sorted_order sorted f)) in
   let members = Array.init n Fun.id in
   let left = Bytes.make n '\000' in
-  (* A segment only ever uses slots [lo, hi) of [scratch], so sibling
-     subtrees can partition concurrently. *)
   let scratch = Array.make n 0 in
   (* Stable partition of [arr]'s slots [lo, hi): members marked in [left]
-     first, the rest after, each side in its old order. *)
+     first, the rest after, each side in its old order.  The rest wait in
+     [scratch]'s slots [lo, hi) until the final blit. *)
   let partition arr lo hi =
     let l = ref lo and r = ref lo in
     for k = lo to hi - 1 do
@@ -136,18 +131,8 @@ let fit ?(domains = 1) params sorted ~grad ~hess =
         for f = 0 to n_features - 1 do
           if f <> feature then partition orders.(f) lo hi
         done;
-        if domains > 1 && hi - lo >= subtree_grain then begin
-          let l = ref (Leaf 0.0) and r = ref (Leaf 0.0) in
-          Util.Pool.run_all (Util.Pool.default ())
-            [
-              (fun () -> l := build lo mid (depth + 1));
-              (fun () -> r := build mid hi (depth + 1));
-            ];
-          Split { feature; threshold; left = !l; right = !r }
-        end
-        else
-          Split
-            { feature; threshold; left = build lo mid (depth + 1); right = build mid hi (depth + 1) }
+        Split
+          { feature; threshold; left = build lo mid (depth + 1); right = build mid hi (depth + 1) }
     end
   in
   build 0 n 0
@@ -169,6 +154,10 @@ let fit ?(domains = 1) params sorted ~grad ~hess =
    exactly one bin). *)
 
 let hist_grain = 4096
+
+(* Below this many samples a node builds its two subtrees inline: handing
+   them to the pool costs more than building them. *)
+let subtree_grain = 128
 
 type hist = { hg : float array; hh : float array; hc : int array }
 

@@ -20,8 +20,7 @@ val default_params : params
 
 type t
 
-val fit :
-  ?domains:int -> params -> Dataset.presorted -> grad:float array -> hess:float array -> t
+val fit : params -> Dataset.presorted -> grad:float array -> hess:float array -> t
 (** Exact split finding: fits one tree to the per-sample gradient
     statistics.  Arrays must have the dataset's length.
 
@@ -30,11 +29,9 @@ val fit :
     per-tree copy of every feature's order, and a split stable-partitions
     those segments in place, so the children inherit sorted orders without
     allocating.  Candidate thresholds are midpoints between distinct
-    consecutive values.  With [domains > 1] (default 1) the two subtrees of
-    a node of at least 128 samples build in parallel on [Pool.default]; the
-    fitted tree is bit-identical for every domain count: split candidates
-    are folded in feature order and every floating-point sum runs in one
-    fixed sequential order. *)
+    consecutive values.  Split candidates are folded in feature order and
+    every floating-point sum runs in one fixed sequential order.  The build
+    runs on the calling domain. *)
 
 val fit_hist :
   ?domains:int ->
@@ -51,8 +48,10 @@ val fit_hist :
     smaller sibling's from the parent's.  Gain/leaf formulas, the
     [gain > 0] requirement and all tie-breaking match {!fit}; candidate
     thresholds are the fixed bin cuts, so on features with more distinct
-    values than bins the split is an approximation of the exact one.  Like
-    {!fit}, the result is bit-identical at every [domains] count.
+    values than bins the split is an approximation of the exact one.  With
+    [domains > 1] (default 1) histogram accumulation and the subtrees of
+    nodes of at least 128 samples fan out over [Pool.default]; the result is
+    bit-identical at every [domains] count.
 
     When [leaf_out] (length = sample count) is given, slot [i] is set to the
     weight of the leaf sample [i] lands in — bit-identical to

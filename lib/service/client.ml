@@ -223,13 +223,16 @@ let run ~settings ~now_ms ~sleep_ms ~socket ~render ~expected_key ~audit =
        retry-after hint reimposed as a hard floor — honoring the server's
        hint means waiting at least that long, jitter or not *)
     let delay = (base / 2) + Util.Rng.int rng (max 1 (base - (base / 2))) in
-    let delay = max delay floor_ms in
+    let delay = float_of_int (max delay floor_ms) in
+    (* Sleep at most to the deadline, its fraction of a millisecond
+       included: a remainder rounded down to 0 would retry without pause
+       until the deadline passed. *)
     let delay =
       match remaining_ms () with
-      | Some r -> min delay (max 0 (int_of_float r))
+      | Some r -> Float.min delay (Float.max 0.0 r)
       | None -> delay
     in
-    if delay > 0 then sleep_ms (float_of_int delay)
+    if delay > 0.0 then sleep_ms delay
   in
   let rec attempt n last_reason =
     if n > settings.max_attempts then
