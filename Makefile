@@ -1,6 +1,6 @@
 # Convenience entry points; everything is plain dune underneath.
 
-.PHONY: all build test verify-smoke verify-deep fault-smoke torture-smoke torture-deep chaos-smoke chaos-deep hotpath-smoke hotpath-deep bench-hotpath service-smoke service-deep bench-service net-smoke net-deep bench-net audit-smoke audit-deep bench-audit gold gold-smoke gold-deep regress bench-fleet ci clean
+.PHONY: all build test verify-smoke verify-deep fault-smoke torture-smoke torture-deep chaos-smoke chaos-deep service-smoke service-deep bench-service net-smoke net-deep bench-net audit-smoke audit-deep bench-audit gold gold-smoke gold-deep regress bench-fleet ci clean
 
 all: build
 
@@ -11,9 +11,11 @@ build:
 test:
 	dune runtest
 
-# Ground-truth verification: exact pebble-game oracle sandwich grid +
-# differential conformance harness.  Smoke is the fast (<15s) configuration;
-# deep enlarges DAG grid, oracle budgets and qcheck case counts (minutes).
+# Ground-truth verification: exact pebble-game oracle sandwich grid (every
+# Q_opt checked against a pinned table) + differential conformance harness.
+# Smoke is the fast (<15s) configuration and also solves the 24-vertex
+# Winograd tile; deep enlarges DAG grid, oracle budgets and qcheck case
+# counts (minutes).
 verify-smoke:
 	dune build @verify-smoke
 
@@ -24,7 +26,7 @@ fault-smoke:
 	dune build @fault-smoke
 
 # Durability: checksummed-journal salvage properties + crash-torture rounds
-# that corrupt journal/checkpoint files between kill and resume.  Smoke is
+# that corrupt the tune journal between kill and resume.  Smoke is
 # the fast (<10s) configuration; deep multiplies qcheck case counts by 10
 # and runs more corruption rounds.
 torture-smoke:
@@ -41,22 +43,6 @@ chaos-smoke:
 
 chaos-deep:
 	dune build @chaos-deep
-
-# Hot-path checks: histogram-vs-exact GBT ranking agreement + frontier-vs-
-# legacy oracle equality.  Smoke (<10s) is part of the default runtest; deep
-# adds the GBT speed parity check (exact within 1.5x of hist's time at 2k and
-# 4k samples, hist within 1.5x of exact's at 4k) and the 24-vertex oracle
-# differential.
-hotpath-smoke:
-	dune build @hotpath-smoke
-
-hotpath-deep:
-	dune build @hotpath-deep
-
-# Full hot-path sweep; asserts the speedup/equivalence claims and rewrites
-# BENCH_hotpath.json in the cwd.
-bench-hotpath:
-	dune exec bench/hotpath.exe
 
 # Tuning-service gates: protocol/cache/engine suites plus scripted kill -9 +
 # corruption + restart chaos campaigns, all through the in-process Sim
@@ -133,11 +119,10 @@ bench-fleet:
 # default runtest already folds in the @*-smoke aliases, including the
 # cold gold-file slice @gold-smoke and the audit envelope @audit-smoke),
 # the bench smoke checks (parallel == sequential scaling, service
-# cache/coalescing, network resilience, fleet sweep, audit overhead) and
-# the deep hot-path gate (GBT speed parity, 24-vertex oracle differential).
+# cache/coalescing, network resilience, fleet sweep, audit overhead).
 ci: build
 	dune runtest
-	dune build @bench-smoke @service-bench-smoke @net-bench-smoke @fleet-smoke @audit-smoke @hotpath-deep
+	dune build @bench-smoke @service-bench-smoke @net-bench-smoke @fleet-smoke @audit-smoke
 
 clean:
 	dune clean

@@ -136,8 +136,7 @@ let tune_cmd =
           ~doc:
             "Durable measurement journal. A killed run resumes from it \
              bit-identically (corrupt records are detected by checksum, \
-             salvaged and re-measured); the GBT cost model is checkpointed \
-             alongside in FILE.ckpt.")
+             salvaged and re-measured).")
   in
   let run spec arch seed budget tvm wino journal =
     let algorithm =
@@ -153,10 +152,8 @@ let tune_cmd =
       result.best_runtime_us result.best_gflops result.measurements result.converged_at;
     Printf.printf "config: %s\n" (Core.Config.to_string result.best_config);
     if journal <> None then
-      Printf.printf
-        "journal: %d trial(s) replayed, %d corrupt record(s) dropped, %d model \
-         checkpoint restore(s)\n"
-        result.faults.replayed result.faults.journal_dropped result.faults.model_restores;
+      Printf.printf "journal: %d trial(s) replayed, %d corrupt record(s) dropped\n"
+        result.faults.replayed result.faults.journal_dropped;
     let lib = Gpu_sim.Library_sim.cudnn_direct arch spec in
     Printf.printf "cuDNN-style baseline: %.2f us (%s) -> speedup %.2fx\n" lib.runtime_us
       lib.algorithm (lib.runtime_us /. result.best_runtime_us)

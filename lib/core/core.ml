@@ -20,5 +20,4 @@ module Tuner = Tuner
 module Supervisor = Supervisor
 module Baselines = Baselines
 module Tune_journal = Tune_journal
-module Model_checkpoint = Model_checkpoint
 module Template = Template

@@ -8,13 +8,8 @@
 
 type t
 
-val create : ?booster:Gbt.Booster.params -> Conv.Conv_spec.t -> t
-(** [booster] (default [Gbt.Booster.default_params]) selects the training
-    parameters every {!retrain} uses — in particular the
-    [Gbt.Booster.split_method]. *)
-
-val booster_params : t -> Gbt.Booster.params
-(** The parameters fixed at {!create} time. *)
+val create : Conv.Conv_spec.t -> t
+(** An empty model; every {!retrain} uses [Gbt.Booster.default_params]. *)
 
 val add_measurement : t -> Config.t -> float -> unit
 (** [add_measurement m config runtime_us] appends a training sample.  Raises
@@ -29,12 +24,6 @@ val failure_penalty_us : float
 (** The penalty runtime (1e7 us) recorded for failed configurations — far
     above any measurable kernel so the model ranks them last. *)
 
-val n_failures : t -> int
-(** Number of penalized entries added via [add_failure]. *)
-
-val n_samples : t -> int
-(** Total training samples, including penalized failures. *)
-
 val retrain : ?rng:Util.Rng.t -> ?domains:int -> t -> unit
 (** Refits the booster on everything measured so far; no-op when empty.
     [domains] is forwarded to [Gbt.Booster.train]; the refit model is
@@ -47,14 +36,5 @@ val trained : t -> bool
 
 val snapshot : t -> string option
 (** [Gbt.Booster.to_compact] of the current booster; [None] before the
-    first {!retrain}.  Because training is deterministic and the encoding
-    round-trips every float bit-for-bit, a snapshot taken after fitting on
-    [n] samples stands in exactly for "retrain on those [n] samples". *)
-
-val restore : t -> string -> bool
-(** Installs a {!snapshot} as the current booster; [false] (and no change)
-    when the snapshot does not parse.  Predictions after a successful
-    restore are bit-identical to the model the snapshot was taken from. *)
-
-val rmse_log : t -> float
-(** Training RMSE in log-space, for diagnostics; 0 before training. *)
+    first {!retrain}.  Every float prints in hex, so the string pins the
+    fitted model bit for bit. *)

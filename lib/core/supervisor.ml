@@ -216,7 +216,6 @@ let add_faults (a : Tuner.fault_stats) (b : Tuner.fault_stats) : Tuner.fault_sta
     backoff_us = a.backoff_us +. b.backoff_us;
     replayed = a.replayed + b.replayed;
     journal_dropped = a.journal_dropped + b.journal_dropped;
-    model_restores = a.model_restores + b.model_restores;
     elapsed_us = a.elapsed_us +. b.elapsed_us;
     pool_restarts = a.pool_restarts + b.pool_restarts;
     last_failure = (match b.last_failure with Some _ -> b.last_failure | None -> a.last_failure);
@@ -261,12 +260,12 @@ let classify_stop ~share_us (stop : Tuner.stop_reason) (faults : Tuner.fault_sta
     Breaker_open { consecutive = faults.failed; last = last_failure_cause faults }
 
 let tune_task t ~key ?seed ?batch_size ?patience ?max_measurements ?domains ?faults
-    ?measure_policy ?journal ?checkpoint_every ~space () =
+    ?measure_policy ?journal ~space () =
   let share_us = Budget.begin_task t.budget in
   let breaker = if t.policy.breaker_k > 0 then Some t.policy.breaker_k else None in
   match
     Tuner.tune_outcome ?seed ?batch_size ?patience ?max_measurements ?domains ?faults
-      ?measure_policy ?journal ?checkpoint_every ~deadline_us:share_us
+      ?measure_policy ?journal ~deadline_us:share_us
       ?max_consecutive_failures:breaker ~space ()
   with
   | Ok r ->

@@ -137,7 +137,6 @@ val tune_task :
   ?faults:Gpu_sim.Faults.profile ->
   ?measure_policy:Gpu_sim.Measure.policy ->
   ?journal:string ->
-  ?checkpoint_every:int ->
   space:Search_space.t ->
   unit ->
   outcome

@@ -12,7 +12,6 @@ type fault_stats = {
   backoff_us : float;
   replayed : int;
   journal_dropped : int;
-  model_restores : int;
   elapsed_us : float;
   pool_restarts : int;
   last_failure : Gpu_sim.Measure.failure option;
@@ -31,7 +30,6 @@ let no_faults =
     backoff_us = 0.0;
     replayed = 0;
     journal_dropped = 0;
-    model_restores = 0;
     elapsed_us = 0.0;
     pool_restarts = 0;
     last_failure = None;
@@ -108,15 +106,11 @@ let insert_leader cfg runtime leaders =
 
 let tune_outcome ?(seed = 0) ?(batch_size = 16) ?(patience = 8) ?(max_measurements = 600)
     ?domains ?(faults = Gpu_sim.Faults.none) ?measure_policy ?journal
-    ?(checkpoint_every = 16) ?(deadline_us = infinity) ?max_consecutive_failures
-    ?model_params ~space () =
+    ?(deadline_us = infinity) ?max_consecutive_failures ~space () =
   let domains = Option.value domains ~default:(Util.Parallel.recommended_domains ()) in
   let arch = Search_space.arch space and spec = Search_space.spec space in
   let rng = Util.Rng.create (seed + 17) in
-  let model = Cost_model.create ?booster:model_params spec in
-  let split_tag =
-    Gbt.Booster.split_method_tag (Cost_model.booster_params model).split_method
-  in
+  let model = Cost_model.create spec in
   let measured = Hashtbl.create 128 in
   let failed_keys = Hashtbl.create 16 in
   let best = ref None in
@@ -141,50 +135,19 @@ let tune_outcome ?(seed = 0) ?(batch_size = 16) ?(patience = 8) ?(max_measuremen
      the oracle is only consulted for configs past the kill point.
      [recover] salvages the longest valid prefix of a torn or corrupted
      journal and repairs the file so our appends extend clean state; the
-     loss is surfaced in [journal_dropped], never silently discarded.  The
-     sibling checkpoint file supplies booster snapshots so replayed rounds
-     restore the cost model instead of retraining it. *)
-  let journal_tbl, ckpt_tbl =
+     loss is surfaced in [journal_dropped], never silently discarded. *)
+  let journal_tbl =
     match journal with
-    | None -> (Hashtbl.create 0, Hashtbl.create 0)
+    | None -> Hashtbl.create 0
     | Some path ->
       let jr = Tune_journal.recover path in
-      let ck = Model_checkpoint.recover (Model_checkpoint.path_for path) in
-      stats := { !stats with journal_dropped = jr.dropped + ck.dropped };
-      (Tune_journal.to_table jr.entries, Model_checkpoint.to_table ck.entries)
+      stats := { !stats with journal_dropped = jr.dropped };
+      Tune_journal.to_table jr.entries
   in
   let journal_append key outcome =
     match journal with
     | None -> ()
     | Some path -> Tune_journal.append path { Tune_journal.key; outcome }
-  in
-  (* Model checkpointing: after a live retrain, snapshot the booster every
-     [checkpoint_every] trials; on replay, a surviving snapshot keyed by the
-     dataset size substitutes for the retrain.  Both paths yield the same
-     bits (training is deterministic, the snapshot round-trips exactly, and
-     with the default no-subsample parameters the retrain consumes no rng
-     draws), so restoring never perturbs the trajectory. *)
-  let last_checkpoint = ref 0 in
-  let retrain_or_restore () =
-    let n = Cost_model.n_samples model in
-    (* A snapshot only substitutes for a retrain when it was trained with the
-       same split finding this run uses — a tag mismatch retrains. *)
-    match Hashtbl.find_opt ckpt_tbl n with
-    | Some (split, snap) when split = split_tag && Cost_model.restore model snap ->
-      stats := { !stats with model_restores = !stats.model_restores + 1 }
-    | _ -> begin
-      Cost_model.retrain ~rng ~domains model;
-      match journal with
-      | Some path when !trials - !last_checkpoint >= checkpoint_every -> begin
-        match Cost_model.snapshot model with
-        | Some snapshot ->
-          Model_checkpoint.append (Model_checkpoint.path_for path)
-            { Model_checkpoint.n_samples = n; split = split_tag; snapshot };
-          last_checkpoint := !trials
-        | None -> ()
-      end
-      | _ -> ()
-    end
   in
   (* Top measured configurations, best first — the explorer's walk seeds. *)
   let leaders : (Config.t * float) list ref = ref [] in
@@ -338,7 +301,7 @@ let tune_outcome ?(seed = 0) ?(batch_size = 16) ?(patience = 8) ?(max_measuremen
     && not (deadline_hit ())
   do
     let best_before = match !best with Some (_, r) -> r | None -> infinity in
-    retrain_or_restore ();
+    Cost_model.retrain ~rng ~domains model;
     let starts =
       List.map fst !leaders @ List.init 2 (fun _ -> Search_space.sample space rng)
     in
@@ -395,12 +358,10 @@ let tune_outcome ?(seed = 0) ?(batch_size = 16) ?(patience = 8) ?(max_measuremen
       }
 
 let tune ?seed ?batch_size ?patience ?max_measurements ?domains ?faults ?measure_policy
-    ?journal ?checkpoint_every ?deadline_us ?max_consecutive_failures ?model_params
-    ~space () =
+    ?journal ?deadline_us ?max_consecutive_failures ~space () =
   match
     tune_outcome ?seed ?batch_size ?patience ?max_measurements ?domains ?faults
-      ?measure_policy ?journal ?checkpoint_every ?deadline_us ?max_consecutive_failures
-      ?model_params ~space ()
+      ?measure_policy ?journal ?deadline_us ?max_consecutive_failures ~space ()
   with
   | Ok result -> result
   | Error _ -> failwith "Tuner.tune: nothing measured"

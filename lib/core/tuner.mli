@@ -35,11 +35,8 @@ type fault_stats = {
   backoff_us : float;  (** total virtual backoff time charged *)
   replayed : int;  (** measurements satisfied from the journal, not the oracle *)
   journal_dropped : int;
-      (** records lost to corruption when recovering the journal and its
-          checkpoint file (0 without a journal, or when both were clean) *)
-  model_restores : int;
-      (** rounds whose cost model was restored from a checkpoint snapshot
-          instead of retrained *)
+      (** records lost to corruption when recovering the journal (0 without
+          a journal, or when it was clean) *)
   elapsed_us : float;
       (** total virtual time consumed by live measurements (sample runtimes,
           timeout costs and backoff delays) — what [deadline_us] budgets
@@ -116,24 +113,16 @@ val tune_outcome :
   ?faults:Gpu_sim.Faults.profile ->
   ?measure_policy:Gpu_sim.Measure.policy ->
   ?journal:string ->
-  ?checkpoint_every:int ->
   ?deadline_us:float ->
   ?max_consecutive_failures:int ->
-  ?model_params:Gbt.Booster.params ->
   space:Search_space.t ->
   unit ->
   (result, tune_error) Stdlib.result
 (** Defaults: seed 0, batches of 16, patience 8 rounds, at most 600
     trials, [domains = Util.Parallel.recommended_domains ()], no injected
-    faults, [Measure.default_policy], no journal, checkpoints every 16
-    trials, no deadline ([infinity]), no circuit breaker,
-    [Gbt.Booster.default_params] for the cost model.
-
-    [model_params] selects the cost model's booster parameters — pass
-    [Gbt.Booster.hist_params] for histogram split finding.  Checkpoints
-    record the split method's tag, and a resumed run only restores
-    snapshots whose tag matches its own (mismatches retrain), so switching
-    methods mid-journal is safe.
+    faults, [Measure.default_policy], no journal, no deadline ([infinity]),
+    no circuit breaker.  Every round refits the cost model
+    ([Cost_model.retrain]) on everything measured so far.
 
     [max_measurements] bounds *trials* (successes plus failures), so a
     hostile fault profile cannot spin the loop beyond the budget.
@@ -166,21 +155,13 @@ val tune_outcome :
     appended as soon as it folds in.  Re-running an interrupted tune with
     the same parameters and journal path resumes it and returns a result
     identical to the uninterrupted run (fault counters differ only in
-    [replayed], [model_restores] and live-attempt statistics).  The journal
-    and its checkpoint sibling are durable files ([Util.Durable]): on
-    resume they are salvaged to their longest valid prefix and repaired in
-    place, so a kill *during* a write — a torn line, a truncation, even a
-    flipped bit — costs at most the damaged suffix (re-measured live,
-    reproducing the same values) and is reported in
-    [result.faults.journal_dropped], never silently dropped.
-
-    [checkpoint_every] throttles cost-model checkpoints: after a live
-    retrain, the fitted booster is snapshotted to [journal ^ ".ckpt"]
-    ([Model_checkpoint]) once at least that many trials have passed since
-    the last snapshot.  On resume, a replayed round whose dataset size
-    matches a surviving snapshot restores the model instead of retraining —
-    bit-identical either way, because training is deterministic and
-    snapshots round-trip exactly.  Ignored without [journal].
+    [replayed] and live-attempt statistics): replayed rounds retrain the
+    cost model on the replayed measurements, and training is deterministic.
+    The journal is a durable file ([Util.Durable]): on resume it is salvaged
+    to its longest valid prefix and repaired in place, so a kill *during* a
+    write — a torn line, a truncation, even a flipped bit — costs at most
+    the damaged suffix (re-measured live, reproducing the same values) and
+    is reported in [result.faults.journal_dropped], never silently dropped.
 
     Multicore: each round's explorer walks, the cost-model refit and the
     batch of simulated measurements fan out over [Util.Pool.default], while
@@ -199,10 +180,8 @@ val tune :
   ?faults:Gpu_sim.Faults.profile ->
   ?measure_policy:Gpu_sim.Measure.policy ->
   ?journal:string ->
-  ?checkpoint_every:int ->
   ?deadline_us:float ->
   ?max_consecutive_failures:int ->
-  ?model_params:Gbt.Booster.params ->
   space:Search_space.t ->
   unit ->
   result

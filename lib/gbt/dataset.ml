@@ -81,106 +81,3 @@ let presorted_length p = p.sorted_n
 let presorted_n_features p = Array.length p.columns
 let column p f = p.columns.(f)
 let sorted_order p f = p.orders.(f)
-
-(* --- Binned view for histogram split finding ---
-
-   Quantised once per booster: every feature value is mapped to a small bin
-   index, stored feature-major in a Bigarray so the per-node histogram
-   accumulation in [Tree.fit_hist] reads one contiguous row per feature.
-   [cuts.(f).(b)] is the split threshold between bin [b] and bin [b + 1],
-   computed as the midpoint of the two adjacent distinct values — the same
-   formula the exact presort path uses, so when a feature has at most
-   [max_bins] distinct values the histogram candidate thresholds are
-   bit-identical to the exact ones. *)
-
-type binned = {
-  n : int;
-  bin_features : int;
-  bins_per_feature : int array;
-  cuts : float array array;
-  matrix : (int, Bigarray.int8_unsigned_elt, Bigarray.c_layout) Bigarray.Array2.t;
-}
-
-let max_supported_bins = 256
-
-let bin ?(max_bins = max_supported_bins) t =
-  if max_bins < 2 || max_bins > max_supported_bins then
-    invalid_arg
-      (Printf.sprintf "Dataset.bin: max_bins must be in [2, %d]" max_supported_bins);
-  let n = t.size in
-  let matrix =
-    Bigarray.Array2.create Bigarray.int8_unsigned Bigarray.c_layout t.n_features (max n 1)
-  in
-  let bins_per_feature = Array.make t.n_features 1 in
-  let cuts = Array.make t.n_features [||] in
-  for f = 0 to t.n_features - 1 do
-    let values = Array.init n (fun i -> t.rows.(i).(f)) in
-    let sorted = Array.copy values in
-    Array.sort compare sorted;
-    (* Distinct values with multiplicities, ascending. *)
-    let distinct = ref [] and counts = ref [] in
-    Array.iter
-      (fun v ->
-        match !distinct with
-        | d :: _ when d = v -> counts := (List.hd !counts + 1) :: List.tl !counts
-        | _ ->
-          distinct := v :: !distinct;
-          counts := 1 :: !counts)
-      sorted;
-    let distinct = Array.of_list (List.rev !distinct) in
-    let counts = Array.of_list (List.rev !counts) in
-    let nd = Array.length distinct in
-    (* Close a bin between distinct values [i] and [i + 1]; the threshold is
-       their midpoint, matching [Tree.fit]'s candidate thresholds. *)
-    let boundaries =
-      if nd <= max_bins then List.init (max 0 (nd - 1)) (fun i -> i)
-      else begin
-        (* Quantile-style: close the current bin once it holds at least an
-           equal share of the samples, never splitting one distinct value
-           across bins and always leaving room for the remaining values. *)
-        let target = float_of_int n /. float_of_int max_bins in
-        let acc = ref [] and cum = ref 0 and closed = ref 0 in
-        for i = 0 to nd - 2 do
-          cum := !cum + counts.(i);
-          if
-            float_of_int !cum >= target *. float_of_int (!closed + 1)
-            && !closed < max_bins - 1
-          then begin
-            acc := i :: !acc;
-            incr closed
-          end
-        done;
-        List.rev !acc
-      end
-    in
-    let fcuts =
-      Array.of_list
-        (List.map (fun i -> (distinct.(i) +. distinct.(i + 1)) /. 2.0) boundaries)
-    in
-    cuts.(f) <- fcuts;
-    bins_per_feature.(f) <- Array.length fcuts + 1;
-    (* Assign every sample its bin: the first cut the value is <= of. *)
-    let nc = Array.length fcuts in
-    for i = 0 to n - 1 do
-      let v = values.(i) in
-      let lo = ref 0 and hi = ref nc in
-      (* Invariant: bins < !lo have cut < v; bin is the first b with
-         v <= fcuts.(b), or [nc] when above every cut. *)
-      while !lo < !hi do
-        let mid = (!lo + !hi) / 2 in
-        if v <= fcuts.(mid) then hi := mid else lo := mid + 1
-      done;
-      Bigarray.Array2.set matrix f i !lo
-    done
-  done;
-  { n; bin_features = t.n_features; bins_per_feature; cuts; matrix }
-
-let binned_length b = b.n
-let binned_n_features b = b.bin_features
-let n_bins b f = b.bins_per_feature.(f)
-
-let cut b f i = b.cuts.(f).(i)
-
-let bin_index b f i = Bigarray.Array2.get b.matrix f i
-
-let bin_matrix b = b.matrix

@@ -33,43 +33,13 @@ val fit : params -> Dataset.presorted -> grad:float array -> hess:float array ->
     every floating-point sum runs in one fixed sequential order.  The build
     runs on the calling domain. *)
 
-val fit_hist :
-  ?domains:int ->
-  ?leaf_out:float array ->
-  params ->
-  Dataset.binned ->
-  grad:float array ->
-  hess:float array ->
-  t
-(** Histogram split finding over a quantised {!Dataset.binned} view: per-node
-    per-(feature, bin) gradient/hessian sums are accumulated in O(samples x
-    features), bins are scanned for the best cut, and each level's larger
-    child derives its histogram by subtracting the (freshly accumulated)
-    smaller sibling's from the parent's.  Gain/leaf formulas, the
-    [gain > 0] requirement and all tie-breaking match {!fit}; candidate
-    thresholds are the fixed bin cuts, so on features with more distinct
-    values than bins the split is an approximation of the exact one.  With
-    [domains > 1] (default 1) histogram accumulation and the subtrees of
-    nodes of at least 128 samples fan out over [Pool.default]; the result is
-    bit-identical at every [domains] count.
-
-    When [leaf_out] (length = sample count) is given, slot [i] is set to the
-    weight of the leaf sample [i] lands in — bit-identical to
-    [predict (fit_hist ...) x_i], since bin routing and threshold routing
-    agree — letting callers skip a per-sample tree walk. *)
-
 val predict : t -> float array -> float
 
 val to_compact : t -> string
-(** Single-line preorder serialization with hex-float ("%h") values: the
-    round-trip through {!of_compact} reproduces the tree exactly, so a
-    restored tree's predictions are bit-identical to the fitted one's.  The
-    encoding contains no spaces beyond token separators and no tabs or
-    newlines. *)
-
-val of_compact : string -> t option
-(** [None] on malformed input, non-finite values, negative feature indices,
-    or trailing tokens (reject whole trees, never half-parse). *)
+(** Single-line preorder serialization with hex-float ("%h") values: every
+    threshold and leaf weight prints exactly, so the string (or its digest)
+    pins the tree bit for bit.  The encoding contains no spaces beyond token
+    separators and no tabs or newlines. *)
 
 val num_leaves : t -> int
 val depth : t -> int

@@ -399,7 +399,7 @@ let launch t job =
   t.executor (fun () ->
       let result =
         (* A tune must never take the service down: an unexpected failure
-           (journal I/O, checkpoint salvage, ...) becomes a typed error for
+           (journal I/O, journal salvage, ...) becomes a typed error for
            this job's waiters and the daemon keeps serving. *)
         try tune_job t job with exn -> Crashed (Printexc.to_string exn)
       in

@@ -1,6 +1,5 @@
 (** Crash-safe, checksummed record files — the durability layer under every
-    on-disk artifact (tune journals, model checkpoints, result caches, gold
-    files).
+    on-disk artifact (tune journals, result caches, gold files).
 
     A durable file is line-oriented:
 

@@ -15,7 +15,7 @@ type mode = Normalized | Reference
 
 let default_budget = 400_000
 
-(* Both engines below run A* over game positions (red mask, blue mask).  Cost
+(* The engine below runs A* over game positions (red mask, blue mask).  Cost
    is the I/O performed so far; Compute and Free are free moves.  Every
    transition is produced by [Pebble_game.apply] (via [trace]), so the search
    never re-implements the legality rules; the returned witness replays
@@ -58,12 +58,14 @@ type shared = {
   compute_vs : G.vertex array;
 }
 
+(* A position packs both masks into one int key. *)
+let max_vertices = (Sys.int_size - 1) / 2
+
 let prepare g ~s =
   let n = G.num_vertices g in
-  if n > PG.max_game_vertices then
+  if n > max_vertices then
     invalid_arg
-      (Printf.sprintf "Oracle.solve: %d vertices exceed the %d-vertex limit" n
-         PG.max_game_vertices);
+      (Printf.sprintf "Oracle.solve: %d vertices exceed the %d-vertex limit" n max_vertices);
   if s < G.max_in_degree g + 1 then
     invalid_arg "Oracle.solve: fast memory too small to compute every vertex";
   let outputs = G.outputs g in
@@ -72,9 +74,7 @@ let prepare g ~s =
   List.iter (fun v -> is_output.(v) <- true) outputs;
   { n; outputs_mask; is_output; compute_vs = G.compute_vertices g }
 
-(* Successor generation, shared verbatim by both engines so they explore the
-   same move sets in the same order; [relax] receives each candidate
-   compound. *)
+(* Successor generation; [relax] receives each candidate compound. *)
 let expand_from sh g ~s ~mode ~relax (st : PG.state) =
   match mode with
   | Reference ->
@@ -122,122 +122,23 @@ let expand_from sh g ~s ~mode ~relax (st : PG.state) =
         end
       done
 
-(* --- Legacy engine: per-state Hashtbl open/closed bookkeeping ---
-
-   Kept as the differential baseline the frontier engine is tested against;
-   dominance is only applied against already-expanded positions. *)
-let solve_legacy ?(budget = default_budget) ?(mode = Normalized) g ~s =
-  let sh = prepare g ~s in
-  let h (st : PG.state) = PG.popcount (sh.outputs_mask land lnot st.blue) in
-  let key (st : PG.state) = (st.red, st.blue) in
-  let best_g : (int * int, int) Hashtbl.t = Hashtbl.create 4096 in
-  let closed : (int * int, unit) Hashtbl.t = Hashtbl.create 4096 in
-  let parent : (int * int, PG.move list * (int * int)) Hashtbl.t = Hashtbl.create 4096 in
-  (* Pareto fronts of expanded positions, keyed by red mask. *)
-  let fronts : (int, (int * int) list) Hashtbl.t = Hashtbl.create 1024 in
-  let dominated (st : PG.state) cost =
-    match Hashtbl.find_opt fronts st.red with
-    | None -> false
-    | Some front ->
-      List.exists (fun (blue, c) -> c <= cost && PG.mask_subset st.blue blue) front
-  in
-  let add_front (st : PG.state) cost =
-    let front = Option.value (Hashtbl.find_opt fronts st.red) ~default:[] in
-    let survivors =
-      List.filter (fun (blue, c) -> not (cost <= c && PG.mask_subset blue st.blue)) front
-    in
-    Hashtbl.replace fronts st.red ((st.blue, cost) :: survivors)
-  in
-  (* Bucket queue on f = g + h; f never decreases along the expansion order. *)
-  let buckets = ref (Array.make 64 []) in
-  let push f st =
-    if f >= Array.length !buckets then begin
-      let bigger = Array.make (2 * max (Array.length !buckets) (f + 1)) [] in
-      Array.blit !buckets 0 bigger 0 (Array.length !buckets);
-      buckets := bigger
-    end;
-    !buckets.(f) <- st :: !buckets.(f)
-  in
-  let init = PG.start g in
-  Hashtbl.replace best_g (key init) 0;
-  push (h init) init;
-  let expanded = ref 0 in
-  let cur_f = ref 0 in
-  let relax (prev : PG.state) moves =
-    match PG.trace g ~s ~init:prev moves with
-    | Error _ -> ()
-    | Ok st' ->
-      let g' = PG.state_io st' in
-      let k' = key st' in
-      let known = Hashtbl.find_opt best_g k' in
-      if (match known with None -> true | Some old -> g' < old) then begin
-        Hashtbl.replace best_g k' g';
-        Hashtbl.replace parent k' (moves, key prev);
-        push (g' + h st') st'
-      end
-  in
-  let reconstruct goal_key =
-    let rec back k acc =
-      match Hashtbl.find_opt parent k with
-      | None -> acc
-      | Some (moves, prev) -> back prev (moves @ acc)
-    in
-    back goal_key []
-  in
-  let rec search () =
-    while !cur_f < Array.length !buckets && !buckets.(!cur_f) = [] do
-      incr cur_f
-    done;
-    if !cur_f >= Array.length !buckets then
-      (* With s >= max in-degree + 1 a store-everything topological play always
-         completes the game, so the queue cannot drain before a goal. *)
-      assert false
-    else begin
-      match !buckets.(!cur_f) with
-      | [] -> assert false
-      | st :: rest ->
-        !buckets.(!cur_f) <- rest;
-        let k = key st in
-        let cost = PG.state_io st in
-        if Hashtbl.mem closed k || Hashtbl.find best_g k <> cost then search ()
-        else if PG.complete g st then
-          Optimal { q_opt = cost; moves = reconstruct k; expanded = !expanded }
-        else if dominated st cost then begin
-          Hashtbl.replace closed k ();
-          search ()
-        end
-        else begin
-          Hashtbl.replace closed k ();
-          add_front st cost;
-          incr expanded;
-          if !expanded > budget then Budget_exhausted { expanded = !expanded }
-          else begin
-            expand_from sh g ~s ~mode ~relax st;
-            search ()
-          end
-        end
-    end
-  in
-  search ()
-
 (* --- Frontier engine ---
 
-   The default.  Positions are packed int keys [(red lsl n) lor blue], the
-   open list is an array of cost-layered frontiers (one append-only Bigarray
-   buffer of keys per f value, expanded whole layers at a time — zero-cost
-   successors land in the layer being processed and are consumed by the same
-   sweep), and the per-red-mask Pareto fronts are flat Bigarray buffers of
-   (blue, cost) pairs checked with bitwise subset tests.
+   Positions are packed int keys [(red lsl n) lor blue], the open list is an
+   array of cost-layered frontiers (one append-only Bigarray buffer of keys
+   per f value, expanded whole layers at a time — zero-cost successors land
+   in the layer being processed and are consumed by the same sweep), and the
+   per-red-mask Pareto fronts are flat Bigarray buffers of (blue, cost) pairs
+   checked with bitwise subset tests.
 
-   The fronts subsume the legacy engine's [best_g]/[closed] tables: dominance
-   is applied at *generation* (the legacy engine only pruned against expanded
-   positions), every key ever admitted is weakly dominated by some current
-   front entry, and a popped key is expanded only if its exact (blue, cost)
-   pair is still present — absence means something at least as good was
-   admitted since, which the f-ordered sweep expands no later.  Duplicate
-   admissions are impossible (an equal pair dominates), so each (position,
-   cost) is expanded at most once, and the first goal popped is optimal just
-   as in plain A*.
+   The fronts stand in for per-state best-cost and closed tables: dominance
+   is applied at *generation*, every key ever admitted is weakly dominated by
+   some current front entry, and a popped key is expanded only if its exact
+   (blue, cost) pair is still present — absence means something at least as
+   good was admitted since, which the f-ordered sweep expands no later.
+   Duplicate admissions are impossible (an equal pair dominates), so each
+   (position, cost) is expanded at most once, and the first goal popped is
+   optimal just as in plain A*.
 
    [g] is not stored in the layers: a key's blue mask determines h, and
    within layer f the cost is g = f - h.
@@ -264,7 +165,7 @@ let buf_push b x =
 
 exception Found of verdict
 
-let solve_frontier ~budget ~mode ~want_witness g ~s =
+let solve ?(budget = default_budget) ?(mode = Normalized) ?(want_witness = true) g ~s =
   let sh = prepare g ~s in
   let n = sh.n in
   let low_mask = (1 lsl n) - 1 in
@@ -380,8 +281,8 @@ let solve_frontier ~budget ~mode ~want_witness g ~s =
       | Some l ->
         (* LIFO within the layer: zero-cost successors appended mid-sweep are
            expanded next, so blue-rich positions (strong dominators) enter
-           the fronts early — same depth-first-within-f order as the legacy
-           engine's bucket stacks, which prunes hardest. *)
+           the fronts early; this depth-first-within-f order prunes
+           hardest. *)
         while l.len > 0 do
           l.len <- l.len - 1;
           let k = Bigarray.Array1.unsafe_get l.data l.len in
@@ -413,12 +314,6 @@ let solve_frontier ~budget ~mode ~want_witness g ~s =
        completes the game, so the layers cannot drain before a goal. *)
     assert false
   with Found v -> v
-
-let solve ?(budget = default_budget) ?(mode = Normalized) ?(want_witness = true) g ~s =
-  let n = G.num_vertices g in
-  (* The packed key needs red and blue side by side in one int. *)
-  if 2 * n <= Sys.int_size - 1 then solve_frontier ~budget ~mode ~want_witness g ~s
-  else solve_legacy ~budget ~mode g ~s
 
 let q_opt_exn ?budget ?mode g ~s =
   match solve ?budget ?mode ~want_witness:false g ~s with

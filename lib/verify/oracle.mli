@@ -37,27 +37,18 @@ val solve :
 (** [solve g ~s] computes [Q_opt(s)] (default mode [Normalized]) with the
     frontier engine: packed-int position keys, cost-layered append-only
     Bigarray frontiers expanded a whole f-layer at a time, and per-red-mask
-    Pareto dominance of (blue mask, cost) applied at generation — the same
-    search space as {!solve_legacy} but with the per-state hashtable
-    bookkeeping replaced by flat buffers, which pushes the tractability wall
-    from roughly 20 to 25+ vertices at small [s].  Graphs too large to pack
-    both masks into one int fall back to {!solve_legacy}.
+    Pareto dominance of (blue mask, cost) applied at generation.  Flat
+    buffers instead of per-state tables keep instances of 25 vertices
+    tractable at small [s].
 
     [want_witness] (default true) controls parent bookkeeping — the only
     remaining per-state table.  With [~want_witness:false] the result's
     [moves] is [[]] and peak memory on large instances drops accordingly.
 
-    Raises [Invalid_argument] when the graph exceeds
-    [Pebble_game.max_game_vertices] or when [s < max in-degree + 1] (no play
-    can complete). *)
-
-val solve_legacy : ?budget:int -> ?mode:mode -> Dag.Graph.t -> s:int -> verdict
-(** The pre-frontier engine — per-state [Hashtbl] open/closed/g tables,
-    dominance checked only against already-expanded positions.  Kept as the
-    differential baseline: tests assert both engines return equal [q_opt]
-    on the whole sandwich smoke grid, and the hot-path benchmark records
-    the instances where this engine exhausts its budget but the frontier
-    engine does not. *)
+    Raises [Invalid_argument] when the graph has more than
+    [(Sys.int_size - 1) / 2] vertices (31 on 64-bit hosts: a position packs
+    both masks into one int) or when [s < max in-degree + 1] (no play can
+    complete). *)
 
 val q_opt_exn : ?budget:int -> ?mode:mode -> Dag.Graph.t -> s:int -> int
 (** [solve ~want_witness:false] unwrapped; raises [Failure] on budget

@@ -128,7 +128,7 @@ let winograd_instance ~tiles_w ~tiles_h ~cin ~cout ~e ~r () =
    chosen so the exact solver stays inside its state budget: these DAGs have
    7-24 vertices, which is where exhaustive pebbling is tractable at all
    (the game is PSPACE-hard in general).  The smoke pairs finish in seconds;
-   the deep extras assume the frontier engine and an 8M-state budget. *)
+   the deep extras assume an 8M-state budget. *)
 let grid ~deep =
   let smoke =
     [
@@ -160,12 +160,8 @@ let grid ~deep =
         (conv_instance ~w:2 ~h:1 ~kw:2 ~kh:1 ~cin:2 ~cout:1 (), [ 3; 4 ]);
         (conv_instance ~w:4 ~h:1 ~kw:3 ~kh:1 ~cin:1 ~cout:1 (), [ 3; 4 ]);
         (winograd_instance ~tiles_w:3 ~tiles_h:1 ~cin:1 ~cout:1 ~e:1 ~r:1 (), [ 3; 4 ]);
-        (* 22-24-vertex Winograd tiles, reachable only since the frontier
-           oracle: the 4x1 strip peaks near the legacy engine's whole default
-           budget, and the 4-channel tile exhausts it outright at every
-           S >= 4 (the hot-path bench records that differential).  Both need
-           most of the deep 8M-state budget's headroom, so they stay out of
-           the smoke grid. *)
+        (* 22-24-vertex Winograd tiles: 140k-1.1M expanded states each, so
+           they stay out of the smoke grid. *)
         (winograd_instance ~tiles_w:4 ~tiles_h:1 ~cin:1 ~cout:1 ~e:1 ~r:1 (), [ 5; 6 ]);
         (winograd_instance ~tiles_w:1 ~tiles_h:1 ~cin:4 ~cout:1 ~e:1 ~r:1 (), [ 4; 5 ]);
       ]

@@ -4,9 +4,8 @@
    the [Util.Fs_faults] injector; qcheck torture properties (a corrupted
    durable file always salvages to a bit-identical prefix, never raises,
    never replays a wrong value); and an end-to-end crash-torture harness
-   that corrupts a real tune journal and its model-checkpoint sidecar
-   between kill and resume, asserting the resumed search still lands on the
-   uninterrupted run's exact result.
+   that corrupts a real tune journal between kill and resume, asserting the
+   resumed search still lands on the uninterrupted run's exact result.
 
    TORTURE_DEEP=1 raises the qcheck case counts and torture round counts
    (the @torture-deep alias); the smoke configuration stays under ten
@@ -324,10 +323,9 @@ let arch = Gpu_sim.Arch.v100
 let spec = Conv.Conv_spec.make ~c_in:16 ~h_in:14 ~w_in:14 ~c_out:16 ~k_h:3 ~k_w:3 ~pad:1 ()
 let harsh = { Gpu_sim.Faults.default with launch_shmem_frac = 0.25 }
 
-let tune ?journal ?model_params ~domains () =
+let tune ?journal ~domains () =
   let space = Core.Search_space.make arch spec Core.Config.Direct_dataflow in
-  Core.Tuner.tune ~seed:11 ~max_measurements:60 ~domains ~faults:harsh ?journal
-    ?model_params ~space ()
+  Core.Tuner.tune ~seed:11 ~max_measurements:60 ~domains ~faults:harsh ?journal ~space ()
 
 let same_result name (a : Core.Tuner.result) (b : Core.Tuner.result) =
   Alcotest.(check bool) (name ^ ": best config") true (a.best_config = b.best_config);
@@ -336,69 +334,32 @@ let same_result name (a : Core.Tuner.result) (b : Core.Tuner.result) =
   Alcotest.(check bool) (name ^ ": history") true (a.history = b.history);
   Alcotest.(check int) (name ^ ": converged_at") a.converged_at b.converged_at
 
-let torture ?model_params ~domains ~rounds () =
-  let uninterrupted = tune ?model_params ~domains () in
+let torture ~domains ~rounds () =
+  let uninterrupted = tune ~domains () in
   let journal = Filename.temp_file "torture" ".journal" in
   Sys.remove journal;
-  let ckpt = Core.Model_checkpoint.path_for journal in
-  let cleanup () =
-    List.iter (fun p -> try Sys.remove p with Sys_error _ -> ()) [ journal; ckpt ]
-  in
+  let cleanup () = try Sys.remove journal with Sys_error _ -> () in
   Fun.protect ~finally:cleanup @@ fun () ->
-  let journalled = tune ~journal ?model_params ~domains () in
+  let journalled = tune ~journal ~domains () in
   same_result "journalled run" uninterrupted journalled;
-  Alcotest.(check bool) "checkpoints were written" true (Sys.file_exists ckpt);
-  (* Pristine copies of both artifacts, restored before each round. *)
-  let jbytes = read_file journal and cbytes = read_file ckpt in
-  let saw_drop = ref false and saw_restore = ref false in
+  (* A pristine copy of the journal, restored before each round. *)
+  let jbytes = read_file journal in
+  let saw_drop = ref false in
   for round = 1 to rounds do
     write_file journal jbytes;
-    write_file ckpt cbytes;
     let rng = Util.Rng.create ((1000 * domains) + round) in
-    (* 1-2 faults per round, each against a random artifact: a crash can
-       tear the journal, the checkpoint sidecar, or both. *)
+    (* 1-2 faults per round: a crash can tear the journal more than once. *)
     for _ = 1 to 1 + Util.Rng.int rng 2 do
-      ignore (Util.Fs_faults.inject rng (if Util.Rng.bool rng then journal else ckpt))
+      ignore (Util.Fs_faults.inject rng journal)
     done;
-    let resumed = tune ~journal ?model_params ~domains () in
+    let resumed = tune ~journal ~domains () in
     same_result (Printf.sprintf "domains=%d round=%d" domains round) uninterrupted resumed;
-    if resumed.faults.journal_dropped > 0 then saw_drop := true;
-    if resumed.faults.model_restores > 0 then saw_restore := true
+    if resumed.faults.journal_dropped > 0 then saw_drop := true
   done;
-  Alcotest.(check bool) "some round detected corruption" true !saw_drop;
-  Alcotest.(check bool) "some round restored a checkpointed model" true !saw_restore
+  Alcotest.(check bool) "some round detected corruption" true !saw_drop
 
 let test_torture_sequential () = torture ~domains:1 ~rounds:(if deep then 10 else 3) ()
 let test_torture_parallel () = torture ~domains:4 ~rounds:(if deep then 6 else 2) ()
-
-(* The same kill + corrupt + resume contract must hold when the cost model
-   trains with histogram split finding: checkpoints tagged "hist" restore to
-   the exact booster a retrain would produce, bit for bit. *)
-let test_torture_hist () =
-  torture ~model_params:Gbt.Booster.hist_params ~domains:1
-    ~rounds:(if deep then 6 else 2) ()
-
-(* Checkpoints are only reused by the split method that wrote them: a run
-   that switches methods over the same journal must retrain from measurements
-   (never restore) and still land on the uninterrupted result. *)
-let test_checkpoint_split_method_mismatch () =
-  let journal = Filename.temp_file "torture" ".journal" in
-  Sys.remove journal;
-  let ckpt = Core.Model_checkpoint.path_for journal in
-  let cleanup () =
-    List.iter (fun p -> try Sys.remove p with Sys_error _ -> ()) [ journal; ckpt ]
-  in
-  Fun.protect ~finally:cleanup @@ fun () ->
-  let hist_run = tune ~journal ~model_params:Gbt.Booster.hist_params ~domains:1 () in
-  Alcotest.(check bool) "hist checkpoints written" true (Sys.file_exists ckpt);
-  let exact_resumed = tune ~journal ~domains:1 () in
-  Alcotest.(check int) "no cross-method restores" 0 exact_resumed.faults.model_restores;
-  let exact_fresh = tune ~domains:1 () in
-  same_result "exact replay over hist checkpoints" exact_fresh exact_resumed;
-  (* Sanity: the two methods really did tune with different boosters (the
-     journal replays identically only because measurements are replayed). *)
-  Alcotest.(check int) "same measurement count" hist_run.measurements
-    exact_resumed.measurements
 
 let () =
   Util.Pool.ensure_workers (Util.Pool.default ()) 3;
@@ -437,9 +398,5 @@ let () =
             test_torture_sequential;
           Alcotest.test_case "kill + corrupt + resume, parallel" `Quick
             test_torture_parallel;
-          Alcotest.test_case "kill + corrupt + resume, hist split" `Quick
-            test_torture_hist;
-          Alcotest.test_case "split-method mismatch retrains" `Quick
-            test_checkpoint_split_method_mismatch;
         ] );
     ]

@@ -110,14 +110,6 @@ let test_booster_subsample () =
   let rmse = Gbt.Booster.train_rmse booster data in
   Alcotest.(check bool) (Printf.sprintf "subsampled rmse %.3f" rmse) true (rmse < 0.6)
 
-let test_booster_predict_many () =
-  let data = make_dataset 100 (fun x0 _ -> x0) in
-  let booster = Gbt.Booster.train Gbt.Booster.default_params data in
-  let rows = [| [| 0.5; 0.0 |]; [| -0.5; 0.0 |] |] in
-  let out = Gbt.Booster.predict_many booster rows in
-  Alcotest.(check int) "two predictions" 2 (Array.length out);
-  Alcotest.(check bool) "ordering" true (out.(0) > out.(1))
-
 let test_training_parallel_equals_sequential () =
   (* Bit-identical models at every domain count: split scans fold in feature
      order, all float accumulation orders are fixed and the per-round
@@ -132,11 +124,11 @@ let test_training_parallel_equals_sequential () =
     Array.init 50 (fun _ ->
         [| Util.Rng.float rng 4.0 -. 2.0; Util.Rng.float rng 4.0 -. 2.0 |])
   in
-  let expected = Gbt.Booster.predict_many ~domains:1 seq probes in
+  let expected = Array.map (Gbt.Booster.predict seq) probes in
   List.iter
     (fun domains ->
       let par = Gbt.Booster.train ~domains params data in
-      let got = Gbt.Booster.predict_many ~domains par probes in
+      let got = Array.map (Gbt.Booster.predict par) probes in
       Alcotest.(check (array (float 0.0)))
         (Printf.sprintf "bit-identical predictions at domains=%d" domains)
         expected got)
@@ -245,161 +237,6 @@ let qcheck_fit_matches_reference =
       Gbt.Tree.to_compact (Gbt.Tree.fit params (Gbt.Dataset.presort data) ~grad ~hess)
       = reference_compact params rows ~n_features ~grad ~hess)
 
-(* --- binned view + histogram split finding --- *)
-
-let test_bin_distinct_values () =
-  (* 4 distinct values on feature 0: one bin per value, cuts at the midpoints
-     of adjacent distinct values — the exact path's candidate thresholds. *)
-  let d = Gbt.Dataset.create ~n_features:1 in
-  List.iter (fun v -> Gbt.Dataset.add d [| v |] v) [ 3.0; 1.0; 2.0; 1.0; 7.0; 2.0 ];
-  let b = Gbt.Dataset.bin d in
-  Alcotest.(check int) "bins = distinct values" 4 (Gbt.Dataset.n_bins b 0);
-  Alcotest.(check (array (float 0.0)))
-    "cuts are midpoints"
-    [| 1.5; 2.5; 5.0 |]
-    (Array.init 3 (Gbt.Dataset.cut b 0));
-  for i = 0 to Gbt.Dataset.binned_length b - 1 do
-    let v = (Gbt.Dataset.features d i).(0) in
-    let bin = Gbt.Dataset.bin_index b 0 i in
-    (* Routing by bin agrees with routing by threshold at every cut. *)
-    for c = 0 to Gbt.Dataset.n_bins b 0 - 2 do
-      Alcotest.(check bool)
-        (Printf.sprintf "sample %d cut %d" i c)
-        (v <= Gbt.Dataset.cut b 0 c) (bin <= c)
-    done
-  done
-
-let test_bin_quantile_path () =
-  (* More distinct values than bins: cuts stay strictly increasing and the
-     bin <-> threshold routing agreement must still hold everywhere. *)
-  let rng = Util.Rng.create 11 in
-  let d = Gbt.Dataset.create ~n_features:1 in
-  for _ = 1 to 500 do
-    let v = Util.Rng.float rng 10.0 in
-    Gbt.Dataset.add d [| v |] v
-  done;
-  let b = Gbt.Dataset.bin ~max_bins:16 d in
-  let nb = Gbt.Dataset.n_bins b 0 in
-  Alcotest.(check bool) "uses at most max_bins" true (nb <= 16);
-  Alcotest.(check bool) "uses more than one bin" true (nb > 1);
-  for c = 0 to nb - 3 do
-    Alcotest.(check bool)
-      (Printf.sprintf "cuts increase at %d" c)
-      true
-      (Gbt.Dataset.cut b 0 c < Gbt.Dataset.cut b 0 (c + 1))
-  done;
-  for i = 0 to Gbt.Dataset.binned_length b - 1 do
-    let v = (Gbt.Dataset.features d i).(0) in
-    let bin = Gbt.Dataset.bin_index b 0 i in
-    for c = 0 to nb - 2 do
-      if (v <= Gbt.Dataset.cut b 0 c) <> (bin <= c) then
-        Alcotest.failf "sample %d (%.6f, bin %d) disagrees with cut %d" i v bin c
-    done
-  done
-
-let test_bin_rejects_bad_max_bins () =
-  let d = make_dataset 10 (fun x0 _ -> x0) in
-  List.iter
-    (fun max_bins ->
-      Alcotest.check_raises
-        (Printf.sprintf "max_bins = %d" max_bins)
-        (Invalid_argument "Dataset.bin: max_bins must be in [2, 256]")
-        (fun () -> ignore (Gbt.Dataset.bin ~max_bins d)))
-    [ 1; 257 ]
-
-(* Binary features with integer-exact gradients: every float sum in either
-   path is exact and the bin cut (0.5) equals the exact midpoint, so the
-   histogram tree must be bit-for-bit the exact-presort tree. *)
-let binary_dataset n =
-  let rng = Util.Rng.create 17 in
-  let d = Gbt.Dataset.create ~n_features:3 in
-  for _ = 1 to n do
-    let x = Array.init 3 (fun _ -> if Util.Rng.float rng 1.0 < 0.5 then 0.0 else 1.0) in
-    Gbt.Dataset.add d x ((4.0 *. x.(0)) -. (2.0 *. x.(1)) +. (x.(0) *. x.(2)))
-  done;
-  d
-
-let test_hist_tree_identical_on_binnable () =
-  let d = binary_dataset 200 in
-  let n = Gbt.Dataset.length d in
-  let grad = Array.init n (fun i -> -.Gbt.Dataset.target d i) in
-  let hess = Array.make n 1.0 in
-  let exact = Gbt.Tree.fit Gbt.Tree.default_params (Gbt.Dataset.presort d) ~grad ~hess in
-  let hist =
-    Gbt.Tree.fit_hist Gbt.Tree.default_params (Gbt.Dataset.bin d) ~grad ~hess
-  in
-  Alcotest.(check string) "bit-identical trees" (Gbt.Tree.to_compact exact)
-    (Gbt.Tree.to_compact hist)
-
-let test_hist_booster_identical_on_binnable () =
-  let d = binary_dataset 300 in
-  let exact = Gbt.Booster.train ~domains:1 Gbt.Booster.default_params d in
-  let hist = Gbt.Booster.train ~domains:1 Gbt.Booster.hist_params d in
-  Alcotest.(check string) "bit-identical boosters" (Gbt.Booster.to_compact exact)
-    (Gbt.Booster.to_compact hist)
-
-let test_hist_leaf_out_matches_predict () =
-  let d = make_dataset 400 (fun x0 x1 -> (x0 *. x1) +. sin (3.0 *. x0)) in
-  let n = Gbt.Dataset.length d in
-  let grad = Array.init n (fun i -> -.Gbt.Dataset.target d i) in
-  let hess = Array.make n 1.0 in
-  let binned = Gbt.Dataset.bin d in
-  let leaf_out = Array.make n 0.0 in
-  let tree = Gbt.Tree.fit_hist ~leaf_out Gbt.Tree.default_params binned ~grad ~hess in
-  let expected = Array.init n (fun i -> Gbt.Tree.predict tree (Gbt.Dataset.features d i)) in
-  Alcotest.(check (array (float 0.0))) "leaf_out = predict, bitwise" expected leaf_out
-
-let test_hist_training_parallel_equals_sequential () =
-  (* Same contract as the exact path: per-feature histogram rows are disjoint
-     and subtree sample sets are disjoint, so domain count must not move a
-     single ulp. *)
-  Util.Pool.ensure_workers (Util.Pool.default ()) 3;
-  let data = make_dataset 600 (fun x0 x1 -> (x0 *. x1) +. sin (3.0 *. x0) -. x1) in
-  let params = { Gbt.Booster.hist_params with rounds = 12 } in
-  let seq = Gbt.Booster.train ~domains:1 params data in
-  let expected = Gbt.Booster.to_compact seq in
-  List.iter
-    (fun domains ->
-      let par = Gbt.Booster.train ~domains params data in
-      Alcotest.(check string)
-        (Printf.sprintf "bit-identical hist booster at domains=%d" domains)
-        expected (Gbt.Booster.to_compact par))
-    [ 2; 4; 8 ]
-
-let test_hist_booster_fits_nonlinear () =
-  let data = make_dataset 400 (fun x0 x1 -> (x0 *. x1) +. Float.abs x0) in
-  let booster = Gbt.Booster.train Gbt.Booster.hist_params data in
-  let rmse = Gbt.Booster.train_rmse booster data in
-  Alcotest.(check bool) (Printf.sprintf "hist rmse %.3f small" rmse) true (rmse < 0.4)
-
-(* On arbitrary continuous data the histogram booster is an approximation of
-   the exact one (cuts come from the global quantile grid, not per-node
-   sorted orders) — but it must rank points the same way: the tuner only
-   consumes the ordering.  Spearman over the train predictions of the two
-   boosters stays near 1. *)
-let qcheck_hist_ranks_like_exact =
-  QCheck.Test.make ~name:"hist booster rank-correlates with exact" ~count:10
-    QCheck.(int_range 0 1000)
-    (fun seed ->
-      let rng = Util.Rng.create seed in
-      let d = Gbt.Dataset.create ~n_features:3 in
-      for _ = 1 to 250 do
-        let x = Array.init 3 (fun _ -> Util.Rng.float rng 2.0 -. 1.0) in
-        Gbt.Dataset.add d x
-          ((3.0 *. x.(0)) +. (x.(1) *. x.(1)) -. (2.0 *. x.(0) *. x.(2))
-          +. Util.Rng.float rng 0.1)
-      done;
-      let params rounds split_method =
-        { Gbt.Booster.default_params with rounds; split_method }
-      in
-      let predictions b =
-        Array.init (Gbt.Dataset.length d) (fun i ->
-            Gbt.Booster.predict b (Gbt.Dataset.features d i))
-      in
-      let exact = predictions (Gbt.Booster.train (params 25 Gbt.Booster.Exact) d) in
-      let hist = predictions (Gbt.Booster.train (params 25 Gbt.Booster.Hist) d) in
-      Util.Stats.spearman exact hist > 0.9)
-
 let qcheck_booster_interpolates_mean =
   QCheck.Test.make ~name:"constant datasets predict the constant" ~count:20
     QCheck.(float_range (-100.) 100.)
@@ -436,28 +273,8 @@ let () =
           Alcotest.test_case "num trees" `Quick test_booster_num_trees;
           Alcotest.test_case "empty dataset" `Quick test_booster_empty_dataset;
           Alcotest.test_case "subsample" `Quick test_booster_subsample;
-          Alcotest.test_case "predict many" `Quick test_booster_predict_many;
           Alcotest.test_case "parallel training = sequential" `Quick
             test_training_parallel_equals_sequential;
           QCheck_alcotest.to_alcotest qcheck_booster_interpolates_mean;
-        ] );
-      ( "hist",
-        [
-          Alcotest.test_case "bin: one bin per distinct value" `Quick
-            test_bin_distinct_values;
-          Alcotest.test_case "bin: quantile path routes like thresholds" `Quick
-            test_bin_quantile_path;
-          Alcotest.test_case "bin: rejects bad max_bins" `Quick
-            test_bin_rejects_bad_max_bins;
-          Alcotest.test_case "tree identical to exact on binnable data" `Quick
-            test_hist_tree_identical_on_binnable;
-          Alcotest.test_case "booster identical to exact on binnable data" `Quick
-            test_hist_booster_identical_on_binnable;
-          Alcotest.test_case "leaf_out matches predict bitwise" `Quick
-            test_hist_leaf_out_matches_predict;
-          Alcotest.test_case "parallel training = sequential" `Quick
-            test_hist_training_parallel_equals_sequential;
-          Alcotest.test_case "fits nonlinear" `Quick test_hist_booster_fits_nonlinear;
-          QCheck_alcotest.to_alcotest qcheck_hist_ranks_like_exact;
         ] );
     ]
