@@ -36,8 +36,8 @@ torture-deep:
 	dune build @torture-deep
 
 # Run-level supervision chaos campaigns: GPU faults + journal corruption +
-# pool crashes + finite budgets against whole-model tuning.  Smoke sweeps 4
-# campaign seeds (<10s); deep sweeps 32 and raises qcheck case counts.
+# finite budgets against whole-model tuning.  Smoke sweeps 4 campaign seeds
+# (<10s); deep sweeps 32 and raises qcheck case counts.
 chaos-smoke:
 	dune build @chaos-smoke
 
@@ -118,11 +118,11 @@ bench-fleet:
 # The full fast gate a commit must pass: build, every test suite (the
 # default runtest already folds in the @*-smoke aliases, including the
 # cold gold-file slice @gold-smoke and the audit envelope @audit-smoke),
-# the bench smoke checks (parallel == sequential scaling, service
-# cache/coalescing, network resilience, fleet sweep, audit overhead).
+# the bench smoke checks (service cache/coalescing, network resilience,
+# fleet sweep, audit overhead).
 ci: build
 	dune runtest
-	dune build @bench-smoke @service-bench-smoke @net-bench-smoke @fleet-smoke @audit-smoke
+	dune build @service-bench-smoke @net-bench-smoke @fleet-smoke @audit-smoke
 
 clean:
 	dune clean

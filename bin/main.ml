@@ -49,6 +49,16 @@ let spec_term =
 
 let seed_arg = Arg.(value & opt int 0 & info [ "seed" ] ~doc:"Random seed.")
 
+(* Round 0 of a tune always measures one configuration, so a trial budget
+   below 1 is a usage error rather than a tuner exception. *)
+let budget_arg ~default ~doc =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n >= 1 -> Ok n
+    | _ -> Error (`Msg (Printf.sprintf "invalid budget %S, expected an integer >= 1" s))
+  in
+  Arg.(value & opt (conv (parse, Format.pp_print_int)) default & info [ "budget" ] ~doc)
+
 (* --- bounds --- *)
 
 let bounds_cmd =
@@ -121,9 +131,7 @@ let pebble_cmd =
 (* --- tune --- *)
 
 let tune_cmd =
-  let budget =
-    Arg.(value & opt int 300 & info [ "budget" ] ~doc:"Measurement budget.")
-  in
+  let budget = budget_arg ~default:300 ~doc:"Measurement budget." in
   let tvm = Arg.(value & flag & info [ "tvm" ] ~doc:"Use the unpruned TVM-style domain.") in
   let wino =
     Arg.(value & opt (some int) None & info [ "winograd" ] ~doc:"Tune the Winograd dataflow with tile e.")
@@ -164,9 +172,7 @@ let tune_cmd =
 (* --- models --- *)
 
 let models_cmd =
-  let budget =
-    Arg.(value & opt int 150 & info [ "budget" ] ~doc:"Measurement budget per layer.")
-  in
+  let budget = budget_arg ~default:150 ~doc:"Measurement budget per layer." in
   let chaos =
     Arg.(
       value & flag
@@ -278,9 +284,7 @@ let serve_cmd =
              repaired if corrupted).  Survives kill -9: repeat queries after a \
              restart answer without re-tuning.")
   in
-  let budget =
-    Arg.(value & opt int 300 & info [ "budget" ] ~doc:"Measurement budget per tune.")
-  in
+  let budget = budget_arg ~default:300 ~doc:"Measurement budget per tune." in
   let budget_us =
     Arg.(
       value
@@ -531,13 +535,11 @@ let scrub_cmd =
       & info [ "cache" ] ~doc:"Result-cache file to scrub.")
   in
   let budget =
-    Arg.(
-      value & opt int 300
-      & info [ "budget" ]
-          ~doc:
-            "Measurement budget of the daemon that owns the cache — part of \
-             the cache generation; records of other generations are stale, \
-             not scrubbed.")
+    budget_arg ~default:300
+      ~doc:
+        "Measurement budget of the daemon that owns the cache — part of the \
+         cache generation; records of other generations are stale, not \
+         scrubbed."
   in
   let run cache seed budget =
     let settings =
@@ -643,9 +645,8 @@ let fleet_term =
       & info [ "bench" ] ~doc:"Write the fleet sweep trajectory to this JSON file.")
   in
   let budget =
-    Arg.(
-      value & opt int Regress.Sweep.default_settings.budget
-      & info [ "budget" ] ~doc:"Measurement budget per tuning run.")
+    budget_arg ~default:Regress.Sweep.default_settings.budget
+      ~doc:"Measurement budget per tuning run."
   in
   let make models arches gold_dir out_dir cache no_cache bench seed budget =
     let settings = { Regress.Sweep.default_settings with seed; budget } in

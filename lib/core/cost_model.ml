@@ -20,9 +20,9 @@ let failure_penalty_us = 1.0e7
 let add_failure t cfg =
   Gbt.Dataset.add t.data (Config.features t.spec cfg) (log failure_penalty_us)
 
-let retrain ?rng ?domains t =
+let retrain ?rng t =
   if Gbt.Dataset.length t.data > 0 then
-    t.booster <- Some (Gbt.Booster.train ?rng ?domains Gbt.Booster.default_params t.data)
+    t.booster <- Some (Gbt.Booster.train ?rng Gbt.Booster.default_params t.data)
 
 let predict_runtime_us t cfg =
   match t.booster with

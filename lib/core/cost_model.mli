@@ -24,10 +24,9 @@ val failure_penalty_us : float
 (** The penalty runtime (1e7 us) recorded for failed configurations — far
     above any measurable kernel so the model ranks them last. *)
 
-val retrain : ?rng:Util.Rng.t -> ?domains:int -> t -> unit
+val retrain : ?rng:Util.Rng.t -> t -> unit
 (** Refits the booster on everything measured so far; no-op when empty.
-    [domains] is forwarded to [Gbt.Booster.train]; the refit model is
-    bit-identical at every domain count. *)
+    [rng] is forwarded to [Gbt.Booster.train]. *)
 
 val predict_runtime_us : t -> Config.t -> float
 (** Predicted runtime; a large constant before any training. *)

@@ -1,11 +1,10 @@
-let explore ?(n_walks = 12) ?(walk_len = 40) ?(escape_probability = 0.05) ?domains
+let explore ?(n_walks = 12) ?(walk_len = 40) ?(escape_probability = 0.05)
     ?(avoid = fun _ -> false) ~space ~model ~rng ~starts () =
   if n_walks < 1 || walk_len < 0 then invalid_arg "Explorer.explore";
-  let domains = Option.value domains ~default:(Util.Parallel.recommended_domains ()) in
   let starts = Array.of_list starts in
   (* One draw from the caller's stream seeds every walk: walk [w] owns the
      independent stream [create (base + w)], so walks never share rng state
-     and the outcome cannot depend on how they are scheduled over domains. *)
+     and one walk's length cannot shift another's draws. *)
   let base_seed = Int64.to_int (Util.Rng.int64 rng) in
   let run_walk walk =
     let rng = Util.Rng.create (base_seed + walk) in
@@ -33,9 +32,9 @@ let explore ?(n_walks = 12) ?(walk_len = 40) ?(escape_probability = 0.05) ?domai
     done;
     visited
   in
-  let per_walk = Util.Parallel.mapi ~domains (Array.init n_walks Fun.id) (fun _ w -> run_walk w) in
+  let per_walk = Array.init n_walks run_walk in
   (* Merge the per-walk tables in walk order, then break cost ties on the
-     config key: the ranking is identical for every domain count. *)
+     config key: the ranking never depends on hash-table iteration order. *)
   let results = Hashtbl.create 64 in
   Array.iter
     (fun visited ->

@@ -12,7 +12,6 @@ type cause =
   | Launch_rejected of Gpu_sim.Kernel_cost.launch_error
   | Measurement of Gpu_sim.Measure.failure
   | Storage_corruption of { dropped : int }
-  | Pool_degraded of { restarts : int }
   | Empty_domain of string
 
 let cause_to_string = function
@@ -21,8 +20,6 @@ let cause_to_string = function
   | Measurement f -> "measurement: " ^ Gpu_sim.Measure.failure_to_string f
   | Storage_corruption { dropped } ->
     Printf.sprintf "storage corruption: %d journal record(s) dropped" dropped
-  | Pool_degraded { restarts } ->
-    Printf.sprintf "worker pool degraded after %d crash(es)" restarts
   | Empty_domain msg -> "empty search domain: " ^ msg
 
 (* ------------------------------------------------------------------ *)
@@ -84,8 +81,8 @@ let default_policy = { breaker_k = 5; budget_us = infinity; analytic_candidates 
    a task that finishes under budget (or costs nothing because it replays
    from a journal or hits the memo cache) automatically donates its surplus
    to everyone still queued.  Spending past a share is possible only by the
-   cooperative overshoot [Tuner.tune_outcome] documents (tasks already in
-   flight when the deadline passes), and is charged honestly. *)
+   cooperative overshoot [Tuner.tune_outcome] documents (a batch that
+   started before the deadline runs whole), and is charged honestly. *)
 
 module Budget = struct
   type t = {
@@ -179,8 +176,6 @@ type report = {
   budget_total_us : float;
   budget_spent_us : float;
   faults : Tuner.fault_stats;
-  pool_restarts : int;
-  pool_degraded : bool;
 }
 
 type session = {
@@ -188,7 +183,6 @@ type session = {
   budget : Budget.t;
   mutable tasks_rev : task_report list;
   mutable agg_faults : Tuner.fault_stats;
-  pool_restarts0 : int;
 }
 
 let create ?(policy = default_policy) ~tasks () =
@@ -197,7 +191,6 @@ let create ?(policy = default_policy) ~tasks () =
     budget = Budget.create ~total_us:policy.budget_us ~tasks;
     tasks_rev = [];
     agg_faults = Tuner.no_faults;
-    pool_restarts0 = Util.Pool.restarts (Util.Pool.default ());
   }
 
 let policy t = t.policy
@@ -217,7 +210,6 @@ let add_faults (a : Tuner.fault_stats) (b : Tuner.fault_stats) : Tuner.fault_sta
     replayed = a.replayed + b.replayed;
     journal_dropped = a.journal_dropped + b.journal_dropped;
     elapsed_us = a.elapsed_us +. b.elapsed_us;
-    pool_restarts = a.pool_restarts + b.pool_restarts;
     last_failure = (match b.last_failure with Some _ -> b.last_failure | None -> a.last_failure);
   }
 
@@ -231,16 +223,12 @@ let record_failed t ~key cause =
   record_task t ~key ~share_us:0.0 ~spent_us:0.0 (Failed cause)
 
 let report t =
-  let pool = Util.Pool.default () in
-  let restarts = Util.Pool.restarts pool - t.pool_restarts0 in
   {
     policy = t.policy;
     tasks = List.rev t.tasks_rev;
     budget_total_us = Budget.total_us t.budget;
     budget_spent_us = Budget.spent_us t.budget;
-    faults = { t.agg_faults with pool_restarts = restarts };
-    pool_restarts = restarts;
-    pool_degraded = Util.Pool.is_degraded pool;
+    faults = t.agg_faults;
   }
 
 (* ------------------------------------------------------------------ *)
@@ -259,12 +247,12 @@ let classify_stop ~share_us (stop : Tuner.stop_reason) (faults : Tuner.fault_sta
        success is a persistently failing backend in all but name. *)
     Breaker_open { consecutive = faults.failed; last = last_failure_cause faults }
 
-let tune_task t ~key ?seed ?batch_size ?patience ?max_measurements ?domains ?faults
-    ?measure_policy ?journal ~space () =
+let tune_task t ~key ?seed ?batch_size ?patience ?max_measurements ?faults ?measure_policy
+    ?journal ~space () =
   let share_us = Budget.begin_task t.budget in
   let breaker = if t.policy.breaker_k > 0 then Some t.policy.breaker_k else None in
   match
-    Tuner.tune_outcome ?seed ?batch_size ?patience ?max_measurements ?domains ?faults
+    Tuner.tune_outcome ?seed ?batch_size ?patience ?max_measurements ?faults
       ?measure_policy ?journal ~deadline_us:share_us
       ?max_consecutive_failures:breaker ~space ()
   with
@@ -316,10 +304,6 @@ let report_to_string (r : report) =
        "  faults: %d failed trials (%d launch, %d deadline), %d retries, %d replayed, %d journal records dropped\n"
        f.failed f.launch_failures f.deadlines_exceeded f.retries f.replayed
        f.journal_dropped);
-  if r.pool_restarts > 0 || r.pool_degraded then
-    Buffer.add_string b
-      (Printf.sprintf "  pool: %d worker crash(es) recovered%s\n" r.pool_restarts
-         (if r.pool_degraded then ", DEGRADED (restart budget exhausted)" else ""));
   List.iter
     (fun t ->
       let rt =

@@ -3,8 +3,8 @@
     A model-timing run launches one tuning task per (layer shape, algorithm);
     each task can fail in many subsystem-specific ways — a configuration
     outside the domain, a rejected kernel launch, a measurement harness
-    giving up, a corrupted journal, a crashed worker pool.  This module is
-    the one place that understands all of them:
+    giving up, a corrupted journal.  This module is the one place that
+    understands all of them:
 
     - the {!cause} taxonomy unifies the subsystems' typed errors;
     - {!tune_task} wraps [Tuner.tune_outcome] with a per-task circuit
@@ -13,7 +13,7 @@
       best *analytic* configuration ({!analytic_best}) instead of failing or
       reporting an infinite runtime, tagged [Degraded] so nothing is hidden;
     - {!report} renders the whole run's health: per-task outcomes,
-      aggregated fault statistics, budget accounting, pool state.
+      aggregated fault statistics, budget accounting.
 
     Supervision never changes what a healthy run computes: with no faults
     injected and an unbounded budget, a supervised run returns results
@@ -26,7 +26,6 @@ type cause =
   | Launch_rejected of Gpu_sim.Kernel_cost.launch_error
   | Measurement of Gpu_sim.Measure.failure
   | Storage_corruption of { dropped : int }  (** durable-file salvage losses *)
-  | Pool_degraded of { restarts : int }  (** watchdog budget exhausted *)
   | Empty_domain of string  (** [Search_space.make] found no valid config *)
 
 val cause_to_string : cause -> string
@@ -133,7 +132,6 @@ val tune_task :
   ?batch_size:int ->
   ?patience:int ->
   ?max_measurements:int ->
-  ?domains:int ->
   ?faults:Gpu_sim.Faults.profile ->
   ?measure_policy:Gpu_sim.Measure.policy ->
   ?journal:string ->
@@ -172,8 +170,6 @@ type report = {
   budget_total_us : float;
   budget_spent_us : float;
   faults : Tuner.fault_stats;  (** aggregated over all tasks *)
-  pool_restarts : int;  (** worker crashes recovered during the session *)
-  pool_degraded : bool;  (** [Util.Pool.is_degraded] of the shared pool *)
 }
 
 val report : session -> report

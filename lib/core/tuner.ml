@@ -13,7 +13,6 @@ type fault_stats = {
   replayed : int;
   journal_dropped : int;
   elapsed_us : float;
-  pool_restarts : int;
   last_failure : Gpu_sim.Measure.failure option;
 }
 
@@ -31,7 +30,6 @@ let no_faults =
     replayed = 0;
     journal_dropped = 0;
     elapsed_us = 0.0;
-    pool_restarts = 0;
     last_failure = None;
   }
 
@@ -105,9 +103,9 @@ let insert_leader cfg runtime leaders =
   insert max_leaders leaders
 
 let tune_outcome ?(seed = 0) ?(batch_size = 16) ?(patience = 8) ?(max_measurements = 600)
-    ?domains ?(faults = Gpu_sim.Faults.none) ?measure_policy ?journal
-    ?(deadline_us = infinity) ?max_consecutive_failures ~space () =
-  let domains = Option.value domains ~default:(Util.Parallel.recommended_domains ()) in
+    ?(faults = Gpu_sim.Faults.none) ?measure_policy ?journal ?(deadline_us = infinity)
+    ?max_consecutive_failures ~space () =
+  if max_measurements < 1 then invalid_arg "Tuner.tune_outcome: max_measurements < 1";
   let arch = Search_space.arch space and spec = Search_space.spec space in
   let rng = Util.Rng.create (seed + 17) in
   let model = Cost_model.create spec in
@@ -120,10 +118,9 @@ let tune_outcome ?(seed = 0) ?(batch_size = 16) ?(patience = 8) ?(max_measuremen
      profile could spin the loop forever. *)
   let trials = ref 0 in
   let stats = ref no_faults in
-  let pool_restarts0 = Util.Pool.restarts (Util.Pool.default ()) in
-  (* Circuit-breaker state: consecutive failed measurements, in fold order
-     (which is submission order, so the count is domain-invariant).  Replayed
-     failures count too — a resumed run must trip at the same trial. *)
+  (* Circuit-breaker state: consecutive failed measurements, in batch order.
+     Replayed failures count too — a resumed run must trip at the same
+     trial. *)
   let consec_failures = ref 0 in
   let tripped () =
     match max_consecutive_failures with Some k -> !consec_failures >= k | None -> false
@@ -151,9 +148,8 @@ let tune_outcome ?(seed = 0) ?(batch_size = 16) ?(patience = 8) ?(max_measuremen
   in
   (* Top measured configurations, best first — the explorer's walk seeds. *)
   let leaders : (Config.t * float) list ref = ref [] in
-  (* Sequential bookkeeping for one finished measurement: leader list, cost
-     model dataset, best-so-far and history all update in submission order,
-     which keeps the whole trace independent of the domain count. *)
+  (* Bookkeeping for one finished measurement: leader list, cost model
+     dataset, best-so-far and history all update in batch order. *)
   let record cfg runtime =
     consec_failures := 0;
     leaders := insert_leader cfg runtime !leaders;
@@ -197,96 +193,50 @@ let tune_outcome ?(seed = 0) ?(batch_size = 16) ?(patience = 8) ?(max_measuremen
         elapsed_us = s.elapsed_us +. l.elapsed_us;
       }
   in
-  (* Measure a batch: dedup (against everything attempted and within the
-     batch, keeping first occurrences), split journal hits from configs that
-     need live measurement, fan the pure simulated measurements out over the
-     domains, then fold every outcome back in batch order.  A failed config
-     does not abort the batch: its siblings' results still fold in. *)
+  (* Measure a batch in batch order, skipping configs already attempted
+     (earlier in this batch or before).  A journal hit folds as a replay; a
+     live config is measured, journalled and folded.  A failed config does
+     not abort the batch: its siblings' results still fold in.  The deadline
+     gate is read once per batch: replays charge no virtual time, so this is
+     the clock the first live measurement would see, and a batch is either
+     measured whole or skipped whole.  A skipped config is never sampled,
+     never journalled, consumes no trial and stays unmarked, so a resumed
+     run with a larger budget can still measure it. *)
   let measure_batch cfgs =
-    let fresh =
-      List.filter
-        (fun cfg ->
-          let key = Config.to_string cfg in
-          if Hashtbl.mem measured key then false
-          else begin
+    let gate_open = !stats.elapsed_us < deadline_us in
+    List.iter
+      (fun cfg ->
+        let key = Config.to_string cfg in
+        if not (Hashtbl.mem measured key) then
+          let compact = Config.to_compact cfg in
+          match Hashtbl.find_opt journal_tbl compact with
+          | Some outcome -> begin
             Hashtbl.add measured key ();
-            true
-          end)
-        cfgs
-    in
-    let batch = Array.of_list fresh in
-    let planned =
-      Array.map
-        (fun cfg ->
-          let key = Config.to_compact cfg in
-          match Hashtbl.find_opt journal_tbl key with
-          | Some outcome -> `Replayed (key, outcome)
-          | None -> `Live key)
-        batch
-    in
-    let live =
-      Array.of_list
-        (List.filteri
-           (fun i _ -> match planned.(i) with `Live _ -> true | `Replayed _ -> false)
-           (Array.to_list batch))
-    in
-    let measure cfg = measure_config_robust ~seed ?policy:measure_policy ~faults arch spec cfg in
-    let outcomes =
-      if deadline_us = infinity then Array.map Option.some (Util.Parallel.map ~domains live measure)
-      else begin
-        (* Global-deadline cancellation propagates into the pool: each live
-           measurement is gated on the virtual clock at task start
-           ([Pool.run_all_deadline]).  The clock ([stats.elapsed_us]) only
-           advances in the sequential fold below, so its value is constant
-           for the whole batch and the gate decision is domain-invariant:
-           either every task of the batch runs or every task is skipped. *)
-        let slots = Array.make (Array.length live) None in
-        let tasks =
-          Array.to_list
-            (Array.mapi (fun i cfg () -> slots.(i) <- Some (measure cfg)) live)
-        in
-        ignore
-          (Util.Pool.run_all_deadline (Util.Pool.default ())
-             ~now:(fun () -> !stats.elapsed_us)
-             ~deadline:deadline_us tasks);
-        slots
-      end
-    in
-    let next_live = ref 0 in
-    Array.iteri
-      (fun i cfg ->
-        match planned.(i) with
-        | `Replayed (_, Tune_journal.Measured runtime) ->
-          incr trials;
-          stats := { !stats with replayed = !stats.replayed + 1 };
-          record cfg runtime
-        | `Replayed (_, Tune_journal.Failed reason) ->
-          incr trials;
-          stats := { !stats with replayed = !stats.replayed + 1 };
-          record_failure cfg (Gpu_sim.Measure.Launch_failure reason)
-        | `Live key -> begin
-          let slot = outcomes.(!next_live) in
-          incr next_live;
-          match slot with
-          | None ->
-            (* Skipped by the deadline gate before it started: never sampled,
-               never journalled, no trial consumed.  Un-mark it so a resumed
-               run with a larger budget can still measure it. *)
-            Hashtbl.remove measured (Config.to_string cfg)
-          | Some (res, attempt_log) -> begin
+            incr trials;
+            stats := { !stats with replayed = !stats.replayed + 1 };
+            match outcome with
+            | Tune_journal.Measured runtime -> record cfg runtime
+            | Tune_journal.Failed reason ->
+              record_failure cfg (Gpu_sim.Measure.Launch_failure reason)
+          end
+          | None when gate_open -> begin
+            Hashtbl.add measured key ();
+            let res, attempt_log =
+              measure_config_robust ~seed ?policy:measure_policy ~faults arch spec cfg
+            in
             incr trials;
             absorb attempt_log;
             match res with
             | Ok runtime ->
-              journal_append key (Tune_journal.Measured runtime);
+              journal_append compact (Tune_journal.Measured runtime);
               record cfg runtime
             | Error failure ->
-              journal_append key
+              journal_append compact
                 (Tune_journal.Failed (Gpu_sim.Measure.failure_to_string failure));
               record_failure cfg failure
           end
-        end)
-      batch
+          | None -> ())
+      cfgs
   in
   (* Round 0: the optimality-guided default plus random exploration. *)
   measure_batch
@@ -301,12 +251,12 @@ let tune_outcome ?(seed = 0) ?(batch_size = 16) ?(patience = 8) ?(max_measuremen
     && not (deadline_hit ())
   do
     let best_before = match !best with Some (_, r) -> r | None -> infinity in
-    Cost_model.retrain ~rng ~domains model;
+    Cost_model.retrain ~rng model;
     let starts =
       List.map fst !leaders @ List.init 2 (fun _ -> Search_space.sample space rng)
     in
     let candidates =
-      Explorer.explore ~domains
+      Explorer.explore
         ~avoid:(fun c -> Hashtbl.mem failed_keys (Config.to_string c))
         ~space ~model ~rng ~starts ()
     in
@@ -337,11 +287,8 @@ let tune_outcome ?(seed = 0) ?(batch_size = 16) ?(patience = 8) ?(max_measuremen
     else if !trials >= max_measurements then Trial_budget
     else Converged
   in
-  let final_stats =
-    { !stats with pool_restarts = Util.Pool.restarts (Util.Pool.default ()) - pool_restarts0 }
-  in
   match !best with
-  | None -> Error { stop; faults = final_stats }
+  | None -> Error { stop; faults = !stats }
   | Some (cfg, runtime) ->
     let history = List.rev !history in
     Ok
@@ -353,15 +300,15 @@ let tune_outcome ?(seed = 0) ?(batch_size = 16) ?(patience = 8) ?(max_measuremen
         converged_at = convergence_point ~final:runtime history;
         history;
         space_size = Search_space.size space;
-        faults = final_stats;
+        faults = !stats;
         stop;
       }
 
-let tune ?seed ?batch_size ?patience ?max_measurements ?domains ?faults ?measure_policy
-    ?journal ?deadline_us ?max_consecutive_failures ~space () =
+let tune ?seed ?batch_size ?patience ?max_measurements ?faults ?measure_policy ?journal
+    ?deadline_us ?max_consecutive_failures ~space () =
   match
-    tune_outcome ?seed ?batch_size ?patience ?max_measurements ?domains ?faults
-      ?measure_policy ?journal ?deadline_us ?max_consecutive_failures ~space ()
+    tune_outcome ?seed ?batch_size ?patience ?max_measurements ?faults ?measure_policy
+      ?journal ?deadline_us ?max_consecutive_failures ~space ()
   with
   | Ok result -> result
   | Error _ -> failwith "Tuner.tune: nothing measured"

@@ -41,9 +41,6 @@ type fault_stats = {
       (** total virtual time consumed by live measurements (sample runtimes,
           timeout costs and backoff delays) — what [deadline_us] budgets
           against; replayed trials are free *)
-  pool_restarts : int;
-      (** worker crashes recovered by the shared pool's watchdog during this
-          run (0 unless hostile tasks crashed workers concurrently) *)
   last_failure : Gpu_sim.Measure.failure option;
       (** the most recent measurement failure, for supervisors classifying
           why a circuit breaker tripped *)
@@ -109,7 +106,6 @@ val tune_outcome :
   ?batch_size:int ->
   ?patience:int ->
   ?max_measurements:int ->
-  ?domains:int ->
   ?faults:Gpu_sim.Faults.profile ->
   ?measure_policy:Gpu_sim.Measure.policy ->
   ?journal:string ->
@@ -119,26 +115,25 @@ val tune_outcome :
   unit ->
   (result, tune_error) Stdlib.result
 (** Defaults: seed 0, batches of 16, patience 8 rounds, at most 600
-    trials, [domains = Util.Parallel.recommended_domains ()], no injected
-    faults, [Measure.default_policy], no journal, no deadline ([infinity]),
-    no circuit breaker.  Every round refits the cost model
-    ([Cost_model.retrain]) on everything measured so far.
+    trials, no injected faults, [Measure.default_policy], no journal, no
+    deadline ([infinity]), no circuit breaker.  Every round refits the cost
+    model ([Cost_model.retrain]) on everything measured so far.
 
     [max_measurements] bounds *trials* (successes plus failures), so a
-    hostile fault profile cannot spin the loop beyond the budget.
+    hostile fault profile cannot spin the loop beyond the budget.  Raises
+    [Invalid_argument] when it is below 1: round 0 always measures the
+    domain's default configuration, so a budget of 0 cannot be honoured.
 
     [deadline_us] bounds the *virtual time* spent on live measurements
     (the sum of sample runtimes, timeout costs and backoff delays — see
-    [faults.elapsed_us]).  The budget is enforced cooperatively at batch
-    and task boundaries: once spent, remaining tasks in the in-flight
-    batch are skipped ([Util.Pool.run_all_deadline]) and the loop stops,
-    so a run can overshoot by at most the cost of already-started tasks.
-    Skipped configurations consume no trials and are not journalled.
-    Journal replays charge no virtual time, so a resumed run never
-    re-pays for work already banked on disk.  The gate clock only
-    advances in the sequential fold between batches, so skipping is
-    all-or-nothing per batch and the result stays bit-identical at any
-    [domains] value.
+    [faults.elapsed_us]).  The budget is enforced cooperatively, once per
+    batch: a batch whose first live measurement would start past the
+    deadline skips all its live measurements, and the loop stops, so a run
+    can overshoot by at most the cost of one batch.  Skipped configurations
+    consume no trials and are not journalled.  Journal replays charge no
+    virtual time, so a resumed run never re-pays for work already banked
+    on disk, and a batch's replays still fold in when its live
+    measurements are skipped.
 
     [max_consecutive_failures] is a circuit breaker: after that many
     measurement failures in a row (successes reset the count; checked at
@@ -163,20 +158,17 @@ val tune_outcome :
     the damaged suffix (re-measured live, reproducing the same values) and
     is reported in [result.faults.journal_dropped], never silently dropped.
 
-    Multicore: each round's explorer walks, the cost-model refit and the
-    batch of simulated measurements fan out over [Util.Pool.default], while
-    all stochastic draws and result folding stay sequential — for a fixed
-    [seed] the result (best config, history, measurement count) is
-    bit-identical at every [domains] value, under any fault profile
-    (injection is a pure function of config, seed and attempt, never of
-    scheduling). *)
+    The whole tune runs on the calling domain: retrain, explore, measure
+    and fold follow one another in a fixed order, so for a fixed [seed]
+    the result (best config, history, measurement count) is deterministic
+    under any fault profile (injection is a pure function of config, seed
+    and attempt). *)
 
 val tune :
   ?seed:int ->
   ?batch_size:int ->
   ?patience:int ->
   ?max_measurements:int ->
-  ?domains:int ->
   ?faults:Gpu_sim.Faults.profile ->
   ?measure_policy:Gpu_sim.Measure.policy ->
   ?journal:string ->

@@ -14,12 +14,7 @@ let predict t x =
   done;
   !acc
 
-(* Rounds below this many samples update predictions inline: distributing a
-   few hundred tree walks costs more than running them. *)
-let update_grain = 512
-
-let train ?rng ?domains params data =
-  let domains = match domains with Some d -> max 1 d | None -> Util.Parallel.recommended_domains () in
+let train ?rng params data =
   let n = Dataset.length data in
   if n = 0 then invalid_arg "Booster.train: empty dataset";
   if params.subsample <= 0.0 || params.subsample > 1.0 then
@@ -35,8 +30,7 @@ let train ?rng ?domains params data =
     let grad = Array.init n (fun i -> predictions.(i) -. targets.(i)) in
     let hess = Array.make n 1.0 in
     (* Row subsampling: zeroing a sample's hessian and gradient removes it
-       from every split statistic, which is equivalent to dropping the row.
-       The rng draw stays sequential so training is domain-count invariant. *)
+       from every split statistic, which is equivalent to dropping the row. *)
     (match rng with
     | Some rng when params.subsample < 1.0 ->
       for i = 0 to n - 1 do
@@ -48,17 +42,10 @@ let train ?rng ?domains params data =
     | _ -> ());
     let tree = Tree.fit params.tree sorted ~grad ~hess in
     trees := tree :: !trees;
-    (* Each slot is touched by exactly one iteration, so the update is a pure
-       disjoint-write loop and parallelises without changing any result. *)
-    let update i =
+    for i = 0 to n - 1 do
       predictions.(i) <-
         predictions.(i) +. (params.learning_rate *. Tree.predict tree (Dataset.features data i))
-    in
-    if n >= update_grain then Util.Parallel.for_ ~domains 0 n update
-    else
-      for i = 0 to n - 1 do
-        update i
-      done
+    done
   done;
   { base_score; learning_rate = params.learning_rate; trees = Array.of_list (List.rev !trees) }
 

@@ -5,13 +5,10 @@
     residual gradients ([grad = prediction - target], [hess = 1]) with
     shrinkage [learning_rate], starting from the mean target.  Every tree
     uses exact split finding ([Tree.fit]) over one presort per [train]
-    call.
-
-    Multicore: [train] fans the per-round prediction-update loop out over
-    [Pool.default] when [domains > 1]; each tree builds sequentially.
-    Boosting itself stays sequential (round [k+1] needs round [k]'s
-    residuals), and the update writes disjoint slots, so the trained model
-    is bit-identical for every domain count. *)
+    call.  Training runs on the calling domain: boosting is sequential
+    (round [k+1] needs round [k]'s residuals), and at the tuner's few
+    hundred samples a fanned-out prediction update costs more than it
+    saves. *)
 
 type params = {
   rounds : int;
@@ -25,10 +22,9 @@ val default_params : params
 
 type t
 
-val train : ?rng:Util.Rng.t -> ?domains:int -> params -> Dataset.t -> t
+val train : ?rng:Util.Rng.t -> params -> Dataset.t -> t
 (** Raises [Invalid_argument] on an empty dataset.  [rng] is only consulted
-    when [subsample < 1].  [domains] defaults to
-    [Parallel.recommended_domains ()]. *)
+    when [subsample < 1]. *)
 
 val predict : t -> float array -> float
 

@@ -5,21 +5,14 @@ type t = {
   mutable handles : unit Domain.t list;
   mutable n_workers : int;
   mutable stopped : bool;
-  mutable restarts : int;
-  max_restarts : int;
 }
 
 (* Workers block on [nonempty] until a task arrives or the pool stops.  A
    stopped pool abandons queued tasks: the only queued tasks belong to an
    active [run_all], whose submitter drains the queue itself while waiting.
-
-   A task that raises out of a worker (only possible for fire-and-forget
-   [submit] tasks — [run_all] wraps its tasks) kills that worker's loop; the
-   watchdog spawns a replacement domain so pool capacity survives hostile
-   tasks, but only [max_restarts] times over the pool's lifetime so a
-   crash-looping task cannot spawn domains forever.  Past the budget the
-   worker dies unreplaced and the pool degrades toward inline execution. *)
-let rec worker_loop t () =
+   Every queued task is a [run_all] wrap, which catches its thunk's
+   exception, so a worker never dies of one. *)
+let worker_loop t () =
   let rec next () =
     Mutex.lock t.lock;
     let rec await () =
@@ -34,34 +27,18 @@ let rec worker_loop t () =
     Mutex.unlock t.lock;
     match task with
     | None -> ()
-    | Some f -> begin
-      match f () with
-      | () -> next ()
-      | exception _ ->
-        Mutex.lock t.lock;
-        t.restarts <- t.restarts + 1;
-        if (not t.stopped) && t.restarts <= t.max_restarts then
-          t.handles <- Domain.spawn (worker_loop t) :: t.handles
-        else if t.n_workers > 0 then t.n_workers <- t.n_workers - 1;
-        Mutex.unlock t.lock
-    end
+    | Some f ->
+      f ();
+      next ()
   in
   next ()
-
-(* A crash recovered on a non-worker thread (a submitter helping drain the
-   queue, or an inline [submit]): counted against the same budget, but there
-   is no domain to restart. *)
-let note_crash t =
-  Mutex.lock t.lock;
-  t.restarts <- t.restarts + 1;
-  Mutex.unlock t.lock
 
 let spawn_locked t k =
   t.stopped <- false;
   t.handles <- List.init k (fun _ -> Domain.spawn (worker_loop t)) @ t.handles;
   t.n_workers <- t.n_workers + k
 
-let create ?workers ?(max_restarts = 32) () =
+let create ?workers () =
   let workers =
     match workers with
     | Some w -> max 0 w
@@ -75,8 +52,6 @@ let create ?workers ?(max_restarts = 32) () =
       handles = [];
       n_workers = 0;
       stopped = false;
-      restarts = 0;
-      max_restarts = max 0 max_restarts;
     }
   in
   if workers > 0 then begin
@@ -87,24 +62,6 @@ let create ?workers ?(max_restarts = 32) () =
   t
 
 let workers t = t.n_workers
-let restarts t = t.restarts
-
-(* Past the restart budget a crashed worker dies unreplaced, so capacity is
-   permanently reduced: the pool is running degraded.  (A pool created with
-   zero workers was never parallel, so it does not count as degraded.) *)
-let is_degraded t = t.restarts > t.max_restarts
-
-let submit t f =
-  Mutex.lock t.lock;
-  if t.stopped || t.n_workers = 0 then begin
-    Mutex.unlock t.lock;
-    match f () with () -> () | exception _ -> note_crash t
-  end
-  else begin
-    Queue.push f t.tasks;
-    Condition.signal t.nonempty;
-    Mutex.unlock t.lock
-  end
 
 let ensure_workers t n =
   Mutex.lock t.lock;
@@ -174,10 +131,7 @@ let run_all t fns =
           Mutex.unlock t.lock;
           match task with
           | Some f ->
-            (* Queued tasks are usually [run_all] wraps (which never raise);
-               a raw [submit] task picked up while helping must crash the
-               watchdog counter, not the innocent caller. *)
-            (match f () with () -> () | exception _ -> note_crash t);
+            f ();
             help ()
           | None ->
             Mutex.lock latch.l_lock;
@@ -190,20 +144,6 @@ let run_all t fns =
       help ();
       match latch.l_exn with Some e -> raise e | None -> ()
     end
-
-let run_all_deadline t ~now ~deadline fns =
-  let ran = Atomic.make 0 in
-  (* The gate consults the clock at task *start*: tasks already running when
-     the deadline passes complete normally, tasks not yet started are skipped
-     (their thunk is never invoked).  A task that raises is not counted. *)
-  let gated f () =
-    if now () < deadline then begin
-      f ();
-      Atomic.incr ran
-    end
-  in
-  run_all t (List.map gated fns);
-  Atomic.get ran
 
 let shutdown t =
   Mutex.lock t.lock;

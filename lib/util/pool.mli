@@ -1,12 +1,12 @@
 (** A persistent pool of worker domains.
 
     [Domain.spawn] costs tens of microseconds plus a thread creation; paying
-    it inside inner loops (every parallel-for of a tiled kernel, every tree
-    of a booster retrain) dwarfs the work being distributed.  A pool spawns
-    its workers once and reuses them: submitters enqueue thunks, workers
-    drain the shared queue, and the submitting thread both executes its own
-    share and helps drain the queue while it waits, so nested submissions
-    (a pooled task that itself calls [run_all]) can never deadlock.
+    it inside inner loops (every parallel-for of a tiled kernel) dwarfs the
+    work being distributed.  A pool spawns its workers once and reuses them:
+    submitters enqueue thunks, workers drain the shared queue, and the
+    submitting thread both executes its own share and helps drain the queue
+    while it waits, so nested submissions (a pooled task that itself calls
+    [run_all]) can never deadlock.
 
     The pool is deliberately oblivious to task semantics: all determinism
     guarantees in this repository come from callers submitting pure tasks
@@ -14,47 +14,23 @@
 
 type t
 
-val create : ?workers:int -> ?max_restarts:int -> unit -> t
+val create : ?workers:int -> unit -> t
 (** [create ~workers ()] spawns [workers] worker domains (clamped below at
     0).  Default: [Parallel.recommended_domains () - 1], i.e. one worker per
     recommended domain beyond the submitting thread — 0 on a single-core
-    host, where every submission degrades to inline execution.
-
-    [max_restarts] (default 32) bounds the crash watchdog: a task that
-    raises out of a worker (possible only for {!submit} tasks; [run_all]
-    tasks are wrapped) kills that worker, and the watchdog spawns a
-    replacement domain up to [max_restarts] times over the pool's lifetime.
-    Past the budget, crashed workers die unreplaced and the pool degrades
-    gracefully toward inline execution instead of crash-looping. *)
+    host, where every submission degrades to inline execution. *)
 
 val workers : t -> int
 (** Number of live worker domains (0 after [shutdown]). *)
 
-val restarts : t -> int
-(** Total uncaught task exceptions recovered by the watchdog so far —
-    worker restarts plus crashes absorbed on helping or inline threads. *)
-
-val is_degraded : t -> bool
-(** True once the crash watchdog has exceeded its [max_restarts] budget:
-    at least one crashed worker died unreplaced and the pool is running at
-    permanently reduced (possibly inline-only) capacity.  Run supervisors
-    surface this in health reports so a silently shrunken pool is visible. *)
-
-val submit : t -> (unit -> unit) -> unit
-(** Fire-and-forget: enqueues one task and returns immediately.  With zero
-    workers (or after [shutdown]) the task runs inline before returning.
-    Exceptions never reach the caller; they are counted by the restart
-    watchdog (see {!create}).  Tasks still queued at [shutdown] are
-    abandoned, like [run_all]'s. *)
-
 val default : unit -> t
-(** The process-wide shared pool, created on first use.  [Parallel] routes
-    all its chunked operations through this pool. *)
+(** The process-wide shared pool, created on first use.  [Parallel.for_]
+    routes its chunks through this pool. *)
 
 val ensure_workers : t -> int -> unit
 (** [ensure_workers t n] grows the pool to at least [n] workers (never
-    shrinks).  Used by benchmarks to sweep domain counts and by tests to
-    force real cross-domain execution regardless of the host's core count. *)
+    shrinks).  Tests use it to force real cross-domain execution regardless
+    of the host's core count. *)
 
 val run_all : t -> (unit -> unit) list -> unit
 (** Runs every thunk to completion, distributing them over the pool's
@@ -62,21 +38,10 @@ val run_all : t -> (unit -> unit) list -> unit
     one or more thunks raise, the first exception observed is re-raised
     after every thunk has still been given the chance to run (tasks are
     independent; a failure must not silently skip its siblings' slots).
+    Every thunk is wrapped, so no exception ever escapes into a worker.
     With zero workers (or after [shutdown]) the thunks run inline on the
     caller, in order.  Safe to call concurrently from several threads and
     from inside a pooled task. *)
-
-val run_all_deadline :
-  t -> now:(unit -> float) -> deadline:float -> (unit -> unit) list -> int
-(** [run_all_deadline t ~now ~deadline fns] is [run_all] with a task-start
-    gate: each thunk runs only if [now () < deadline] at the moment a thread
-    picks it up.  Thunks already running when the deadline passes are never
-    interrupted — the bound is cooperative, suited to measurement batches
-    whose individual tasks are short.  Returns the number of thunks that ran
-    to completion (skipped and faulting thunks are not counted).  The clock
-    is injected so callers choose the time base — wall clock for real
-    deadlines, a fake counter in tests — and [util] stays free of a [unix]
-    dependency.  Exceptions propagate exactly as in [run_all]. *)
 
 val shutdown : t -> unit
 (** Signals workers to exit and joins them.  Idempotent.  Subsequent

@@ -1,12 +1,11 @@
 (* Combined chaos suite — backs the [@chaos-smoke] dune alias.
 
    Run-level supervision under everything at once: injected GPU measurement
-   faults, filesystem corruption of the tuning journals, crashed pool
-   workers and a finite global budget.  Asserts the supervisor's contracts:
-   every campaign terminates, every reported outcome is truthful, degraded
-   tasks still carry a valid (shared-memory-feasible) configuration, and
-   with no injectors enabled supervision is bit-identical to the plain
-   engine.
+   faults, filesystem corruption of the tuning journals and a finite global
+   budget.  Asserts the supervisor's contracts: every campaign terminates,
+   every reported outcome is truthful, degraded tasks still carry a valid
+   (shared-memory-feasible) configuration, and with no injectors enabled
+   supervision is bit-identical to the plain engine.
 
    CHAOS_DEEP=1 widens the seed sweep (32 campaign seeds instead of 4) and
    raises the qcheck case counts. *)
@@ -301,7 +300,6 @@ let test_failed_task_and_causes () =
           (Core.Search_space.Tile_not_in_domain { tile = (1, 2, 3) });
         Core.Supervisor.Measurement (Gpu_sim.Measure.No_valid_sample { attempts = 7 });
         Core.Supervisor.Storage_corruption { dropped = 2 };
-        Core.Supervisor.Pool_degraded { restarts = 33 };
         cause;
       ]
   in
@@ -331,36 +329,6 @@ let test_replayed_outcome_from_journal () =
       (Printf.sprintf "expected Tuned then Replayed, got %s then %s"
          (Core.Supervisor.outcome_label a) (Core.Supervisor.outcome_label b)));
   Sys.remove journal
-
-let test_pool_crashes_surface_in_report () =
-  let pool = Util.Pool.default () in
-  let session = Core.Supervisor.create ~tasks:1 () in
-  let before = Util.Pool.restarts pool in
-  for _ = 1 to 3 do
-    Util.Pool.submit pool (fun () -> failwith "chaos: hostile task")
-  done;
-  let deadline = Unix.gettimeofday () +. 5.0 in
-  while Util.Pool.restarts pool < before + 3 && Unix.gettimeofday () < deadline do
-    Domain.cpu_relax ()
-  done;
-  Alcotest.(check bool) "crashes absorbed" true (Util.Pool.restarts pool >= before + 3);
-  (* Tuning on the recovered pool is unaffected... *)
-  let outcome =
-    Core.Supervisor.tune_task session ~key:"after-crashes" ~seed:11 ~max_measurements:30
-      ~space:(space ()) ()
-  in
-  let plain = Core.Tuner.tune ~seed:11 ~max_measurements:30 ~space:(space ()) () in
-  (match outcome with
-  | Core.Supervisor.Tuned r ->
-    Alcotest.(check bool) "same result as the plain engine" true
-      (r.Core.Tuner.best_config = plain.best_config
-      && r.best_runtime_us = plain.best_runtime_us)
-  | o -> Alcotest.fail ("expected Tuned, got " ^ Core.Supervisor.outcome_label o));
-  (* ...but the report does not hide that workers died. *)
-  let report = Core.Supervisor.report session in
-  Alcotest.(check bool) "restarts surfaced" true (report.pool_restarts >= 3);
-  Alcotest.(check bool) "restarts folded into fault stats" true
-    (report.faults.pool_restarts >= 3)
 
 (* ------------------------------------------------------------------ *)
 (* Whole-model supervision. *)
@@ -522,8 +490,6 @@ let () =
             test_failed_task_and_causes;
           Alcotest.test_case "journal replay reports Replayed" `Quick
             test_replayed_outcome_from_journal;
-          Alcotest.test_case "pool crashes surface in report" `Quick
-            test_pool_crashes_surface_in_report;
         ] );
       ( "whole-model",
         [

@@ -480,7 +480,7 @@ let test_cost_model_pinned () =
     | Ok us, _ -> Core.Cost_model.add_measurement model cfg us
     | Error _, _ -> Core.Cost_model.add_failure model cfg
   done;
-  Core.Cost_model.retrain ~domains:1 model;
+  Core.Cost_model.retrain model;
   match Core.Cost_model.snapshot model with
   | None -> Alcotest.fail "model not trained"
   | Some compact ->
@@ -518,59 +518,6 @@ let test_error_paths () =
       ignore (Core.Search_space.make arch strided (Core.Config.Winograd_dataflow 2)))
 
 (* --- explorer / tuner / baselines --- *)
-
-(* Cross-domain execution must change nothing: force real workers into the
-   shared pool (even on single-core hosts) and compare against [domains = 1]. *)
-let () = Util.Pool.ensure_workers (Util.Pool.default ()) 3
-
-let test_explorer_parallel_equals_sequential () =
-  let space = direct_space () in
-  let model = Core.Cost_model.create spec_layer in
-  (* Train the model a little so walks actually follow predicted costs. *)
-  let train_rng = Util.Rng.create 21 in
-  for _ = 1 to 40 do
-    let cfg = Core.Search_space.sample space train_rng in
-    Core.Cost_model.add_measurement model cfg (Core.Tuner.measure_config arch spec_layer cfg)
-  done;
-  Core.Cost_model.retrain model;
-  let ranking domains =
-    let rng = Util.Rng.create 13 in
-    let starts = [ Core.Search_space.default_config space ] in
-    Core.Explorer.explore ~domains ~space ~model ~rng ~starts ()
-  in
-  let sequential = ranking 1 in
-  Alcotest.(check bool) "non-empty" true (sequential <> []);
-  List.iter
-    (fun domains ->
-      let parallel = ranking domains in
-      Alcotest.(check int)
-        (Printf.sprintf "same count at domains=%d" domains)
-        (List.length sequential) (List.length parallel);
-      Alcotest.(check bool)
-        (Printf.sprintf "identical candidate ranking at domains=%d" domains)
-        true
-        (List.for_all2 (fun a b -> a = b) sequential parallel))
-    [ 2; 8 ]
-
-let test_tuner_parallel_equals_sequential () =
-  let run domains =
-    let space = direct_space () in
-    Core.Tuner.tune ~seed:4 ~max_measurements:120 ~domains ~space ()
-  in
-  let seq = run 1 in
-  List.iter
-    (fun domains ->
-      let par = run domains in
-      Alcotest.(check bool)
-        (Printf.sprintf "same best config at domains=%d" domains)
-        true
-        (par.best_config = seq.best_config);
-      Alcotest.(check (float 0.0)) "bit-identical best runtime" seq.best_runtime_us
-        par.best_runtime_us;
-      Alcotest.(check int) "same measurement count" seq.measurements par.measurements;
-      Alcotest.(check int) "same convergence point" seq.converged_at par.converged_at;
-      Alcotest.(check bool) "bit-identical history" true (par.history = seq.history))
-    [ 2; 8 ]
 
 let test_explorer_returns_members () =
   let space = direct_space () in
@@ -886,6 +833,18 @@ let test_tuner_deterministic () =
   Alcotest.(check int) "same measurement count" a.measurements b.measurements;
   Alcotest.(check bool) "same history" true (a.history = b.history)
 
+let test_trial_budget_below_one_rejected () =
+  (* Round 0 always measures the default config, so a budget below one
+     trial cannot be honoured: it is refused before anything is measured. *)
+  List.iter
+    (fun max_measurements ->
+      Alcotest.check_raises
+        (Printf.sprintf "max_measurements=%d" max_measurements)
+        (Invalid_argument "Tuner.tune_outcome: max_measurements < 1")
+        (fun () ->
+          ignore (Core.Tuner.tune_outcome ~max_measurements ~space:(direct_space ()) ())))
+    [ 0; -1 ]
+
 let test_baselines_run () =
   let run name result =
     Alcotest.(check bool) (name ^ " found something") true (result.Core.Tuner.best_runtime_us > 0.0);
@@ -1049,13 +1008,11 @@ let () =
       ( "tuning",
         [
           Alcotest.test_case "explorer members" `Quick test_explorer_returns_members;
-          Alcotest.test_case "explorer parallel = sequential" `Quick
-            test_explorer_parallel_equals_sequential;
-          Alcotest.test_case "tuner parallel = sequential" `Slow
-            test_tuner_parallel_equals_sequential;
           Alcotest.test_case "tuner improves and converges" `Slow test_tuner_improves_and_converges;
           Alcotest.test_case "ATE vs TVM (Table 2 miniature)" `Slow test_ate_beats_tvm_on_search_cost;
           Alcotest.test_case "tuner deterministic" `Slow test_tuner_deterministic;
+          Alcotest.test_case "trial budget below one is rejected" `Quick
+            test_trial_budget_below_one_rejected;
           Alcotest.test_case "baselines run" `Slow test_baselines_run;
         ] );
       ( "errors",

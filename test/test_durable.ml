@@ -323,9 +323,9 @@ let arch = Gpu_sim.Arch.v100
 let spec = Conv.Conv_spec.make ~c_in:16 ~h_in:14 ~w_in:14 ~c_out:16 ~k_h:3 ~k_w:3 ~pad:1 ()
 let harsh = { Gpu_sim.Faults.default with launch_shmem_frac = 0.25 }
 
-let tune ?journal ~domains () =
+let tune ?journal () =
   let space = Core.Search_space.make arch spec Core.Config.Direct_dataflow in
-  Core.Tuner.tune ~seed:11 ~max_measurements:60 ~domains ~faults:harsh ?journal ~space ()
+  Core.Tuner.tune ~seed:11 ~max_measurements:60 ~faults:harsh ?journal ~space ()
 
 let same_result name (a : Core.Tuner.result) (b : Core.Tuner.result) =
   Alcotest.(check bool) (name ^ ": best config") true (a.best_config = b.best_config);
@@ -334,35 +334,32 @@ let same_result name (a : Core.Tuner.result) (b : Core.Tuner.result) =
   Alcotest.(check bool) (name ^ ": history") true (a.history = b.history);
   Alcotest.(check int) (name ^ ": converged_at") a.converged_at b.converged_at
 
-let torture ~domains ~rounds () =
-  let uninterrupted = tune ~domains () in
+let test_torture () =
+  let rounds = if deep then 10 else 3 in
+  let uninterrupted = tune () in
   let journal = Filename.temp_file "torture" ".journal" in
   Sys.remove journal;
   let cleanup () = try Sys.remove journal with Sys_error _ -> () in
   Fun.protect ~finally:cleanup @@ fun () ->
-  let journalled = tune ~journal ~domains () in
+  let journalled = tune ~journal () in
   same_result "journalled run" uninterrupted journalled;
   (* A pristine copy of the journal, restored before each round. *)
   let jbytes = read_file journal in
   let saw_drop = ref false in
   for round = 1 to rounds do
     write_file journal jbytes;
-    let rng = Util.Rng.create ((1000 * domains) + round) in
+    let rng = Util.Rng.create (1000 + round) in
     (* 1-2 faults per round: a crash can tear the journal more than once. *)
     for _ = 1 to 1 + Util.Rng.int rng 2 do
       ignore (Util.Fs_faults.inject rng journal)
     done;
-    let resumed = tune ~journal ~domains () in
-    same_result (Printf.sprintf "domains=%d round=%d" domains round) uninterrupted resumed;
+    let resumed = tune ~journal () in
+    same_result (Printf.sprintf "round=%d" round) uninterrupted resumed;
     if resumed.faults.journal_dropped > 0 then saw_drop := true
   done;
   Alcotest.(check bool) "some round detected corruption" true !saw_drop
 
-let test_torture_sequential () = torture ~domains:1 ~rounds:(if deep then 10 else 3) ()
-let test_torture_parallel () = torture ~domains:4 ~rounds:(if deep then 6 else 2) ()
-
 let () =
-  Util.Pool.ensure_workers (Util.Pool.default ()) 3;
   Alcotest.run "durable"
     [
       ( "durable",
@@ -394,9 +391,6 @@ let () =
             test_journal_recover_rewrites ] );
       ( "crash-torture",
         [
-          Alcotest.test_case "kill + corrupt + resume, sequential" `Quick
-            test_torture_sequential;
-          Alcotest.test_case "kill + corrupt + resume, parallel" `Quick
-            test_torture_parallel;
+          Alcotest.test_case "kill + corrupt + resume, sequential" `Quick test_torture;
         ] );
     ]

@@ -1,10 +1,11 @@
 (* Fault-tolerance smoke suite — backs the [@fault-smoke] dune alias.
 
    End-to-end checks that the tuner survives injected measurement faults,
-   reports accurate failure/retry statistics, keeps the PR 1 bit-identical
-   parallel == sequential contract under faults, and resumes a killed
-   journal-backed run to the uninterrupted run's exact result.  Budgeted to
-   stay well under ten seconds at the fixed seeds. *)
+   reports accurate failure/retry statistics, resumes a killed
+   journal-backed run to the uninterrupted run's exact result, and still
+   folds a resume's replays when the deadline gate skips its live
+   measurements.  Budgeted to stay well under ten seconds at the fixed
+   seeds. *)
 
 let arch = Gpu_sim.Arch.v100
 let spec = Conv.Conv_spec.make ~c_in:16 ~h_in:14 ~w_in:14 ~c_out:16 ~k_h:3 ~k_w:3 ~pad:1 ()
@@ -18,8 +19,8 @@ let harsh = { Gpu_sim.Faults.default with launch_shmem_frac = 0.25 }
 
 let space () = Core.Search_space.make arch spec Core.Config.Direct_dataflow
 
-let tune ?faults ?journal ~domains () =
-  Core.Tuner.tune ~seed:11 ~max_measurements:60 ~domains ?faults ?journal ~space:(space ()) ()
+let tune ?faults ?journal () =
+  Core.Tuner.tune ~seed:11 ~max_measurements:60 ?faults ?journal ~space:(space ()) ()
 
 let same_result name (a : Core.Tuner.result) (b : Core.Tuner.result) =
   Alcotest.(check bool) (name ^ ": best config") true (a.best_config = b.best_config);
@@ -29,7 +30,7 @@ let same_result name (a : Core.Tuner.result) (b : Core.Tuner.result) =
   Alcotest.(check int) (name ^ ": converged_at") a.converged_at b.converged_at
 
 let test_tuner_completes_under_faults () =
-  let r = tune ~faults:harsh ~domains:1 () in
+  let r = tune ~faults:harsh () in
   let f = r.faults in
   Alcotest.(check bool) "found a config" true (r.best_runtime_us > 0.0);
   Alcotest.(check bool) "some configurations failed" true (f.failed > 0);
@@ -42,8 +43,8 @@ let test_tuner_completes_under_faults () =
   Alcotest.(check int) "nothing replayed without a journal" 0 f.replayed
 
 let test_zero_profile_is_plain_run () =
-  let plain = tune ~domains:1 () in
-  let zero = tune ~faults:Gpu_sim.Faults.none ~domains:1 () in
+  let plain = tune () in
+  let zero = tune ~faults:Gpu_sim.Faults.none () in
   same_result "zero profile" plain zero;
   let f = zero.faults in
   Alcotest.(check int) "no failures" 0 f.failed;
@@ -51,18 +52,6 @@ let test_zero_profile_is_plain_run () =
   Alcotest.(check int) "no timeouts" 0 f.timeouts;
   Alcotest.(check int) "no nan readings" 0 f.nan_readings;
   Alcotest.(check (float 0.0)) "no backoff" 0.0 f.backoff_us
-
-let test_parallel_identical_under_faults () =
-  let baseline = tune ~faults:harsh ~domains:1 () in
-  List.iter
-    (fun domains ->
-      let r = tune ~faults:harsh ~domains () in
-      same_result (Printf.sprintf "domains=%d" domains) baseline r;
-      Alcotest.(check bool)
-        (Printf.sprintf "domains=%d: fault stats" domains)
-        true
-        (r.faults = baseline.faults))
-    [ 2; 4 ]
 
 let read_lines path =
   let ic = open_in path in
@@ -94,17 +83,17 @@ let write_stray_checkpoint path =
     Gbt.Dataset.add data x (Util.Rng.float rng 10.0)
   done;
   let booster =
-    Gbt.Booster.to_compact (Gbt.Booster.train ~domains:1 Gbt.Booster.default_params data)
+    Gbt.Booster.to_compact (Gbt.Booster.train Gbt.Booster.default_params data)
   in
   Util.Durable.write_snapshot ~kind:"gbt-checkpoint" path
     (List.map (fun n -> Printf.sprintf "c2\t%d\texact\t%s" n booster) [ 16; 32; 48 ])
 
-let kill_and_resume ~domains () =
-  let uninterrupted = tune ~faults:harsh ~domains () in
+let test_kill_and_resume () =
+  let uninterrupted = tune ~faults:harsh () in
   let journal = Filename.temp_file "tune" ".journal" in
   Sys.remove journal;
   (* Journalling itself must not perturb the search. *)
-  let journalled = tune ~faults:harsh ~journal ~domains () in
+  let journalled = tune ~faults:harsh ~journal () in
   same_result "journal-backed run" uninterrupted journalled;
   (* Simulate a kill one third of the way in: truncate the journal to a
      record prefix and rerun with identical parameters.  Line 0 is the
@@ -119,22 +108,45 @@ let kill_and_resume ~domains () =
      resume. *)
   let stray = journal ^ ".ckpt" in
   write_stray_checkpoint stray;
-  let resumed = tune ~faults:harsh ~journal ~domains () in
+  let resumed = tune ~faults:harsh ~journal () in
   same_result "resumed run" uninterrupted resumed;
   Alcotest.(check int) "replayed exactly the surviving journal" keep resumed.faults.replayed;
   Alcotest.(check int) "clean journal: nothing dropped" 0 resumed.faults.journal_dropped;
   (* A complete journal replays everything and measures nothing live. *)
-  let replay_all = tune ~faults:harsh ~journal ~domains () in
+  let replay_all = tune ~faults:harsh ~journal () in
   same_result "full replay" uninterrupted replay_all;
   Alcotest.(check int) "full replay count" total replay_all.faults.replayed;
   Sys.remove journal;
   Sys.remove stray
 
-let test_kill_and_resume_sequential () = kill_and_resume ~domains:1 ()
-let test_kill_and_resume_parallel () = kill_and_resume ~domains:4 ()
+(* The deadline gate is read once per batch, before its first live
+   measurement, and replays charge no virtual time.  So a resume with an
+   already-spent budget still folds the journal's records from round 0's
+   batch, skips that batch's live configs without journalling them, and
+   stops on the deadline. *)
+let test_spent_deadline_folds_replays () =
+  let journal = Filename.temp_file "tune" ".journal" in
+  Sys.remove journal;
+  ignore (tune ~journal ());
+  let keep = 5 in
+  write_lines journal (List.filteri (fun i _ -> i <= keep) (read_lines journal));
+  (match
+     Core.Tuner.tune_outcome ~seed:11 ~max_measurements:60 ~journal ~deadline_us:0.0
+       ~space:(space ()) ()
+   with
+  | Error _ -> Alcotest.fail "the replayed records hold a measured config"
+  | Ok r ->
+    Alcotest.(check int) "every kept record replayed" keep r.faults.replayed;
+    Alcotest.(check int) "only replays folded" keep (r.measurements + r.faults.failed);
+    Alcotest.(check (float 0.0)) "no live measurement ran" 0.0 r.faults.elapsed_us;
+    Alcotest.(check int) "no live sample taken" 0 r.faults.attempts;
+    Alcotest.(check bool) "stopped on the deadline" true
+      (r.stop = Core.Tuner.Deadline_reached));
+  Alcotest.(check int) "skipped configs are not journalled" (keep + 1)
+    (List.length (read_lines journal));
+  Sys.remove journal
 
 let () =
-  Util.Pool.ensure_workers (Util.Pool.default ()) 3;
   Alcotest.run "faults"
     [
       ( "fault-smoke",
@@ -143,11 +155,8 @@ let () =
             test_tuner_completes_under_faults;
           Alcotest.test_case "zero profile is the plain run" `Quick
             test_zero_profile_is_plain_run;
-          Alcotest.test_case "parallel identical under faults" `Quick
-            test_parallel_identical_under_faults;
-          Alcotest.test_case "kill and resume, sequential" `Quick
-            test_kill_and_resume_sequential;
-          Alcotest.test_case "kill and resume, parallel" `Quick
-            test_kill_and_resume_parallel;
+          Alcotest.test_case "kill and resume, sequential" `Quick test_kill_and_resume;
+          Alcotest.test_case "spent deadline still folds replays" `Quick
+            test_spent_deadline_folds_replays;
         ] );
     ]

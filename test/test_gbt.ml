@@ -110,30 +110,6 @@ let test_booster_subsample () =
   let rmse = Gbt.Booster.train_rmse booster data in
   Alcotest.(check bool) (Printf.sprintf "subsampled rmse %.3f" rmse) true (rmse < 0.6)
 
-let test_training_parallel_equals_sequential () =
-  (* Bit-identical models at every domain count: split scans fold in feature
-     order, all float accumulation orders are fixed and the per-round
-     prediction update writes disjoint slots, so fanning training over real
-     domains must not move a single ulp. *)
-  Util.Pool.ensure_workers (Util.Pool.default ()) 3;
-  let data = make_dataset 600 (fun x0 x1 -> (x0 *. x1) +. sin (3.0 *. x0) -. x1) in
-  let params = { Gbt.Booster.default_params with rounds = 12 } in
-  let seq = Gbt.Booster.train ~domains:1 params data in
-  let probes =
-    let rng = Util.Rng.create 5 in
-    Array.init 50 (fun _ ->
-        [| Util.Rng.float rng 4.0 -. 2.0; Util.Rng.float rng 4.0 -. 2.0 |])
-  in
-  let expected = Array.map (Gbt.Booster.predict seq) probes in
-  List.iter
-    (fun domains ->
-      let par = Gbt.Booster.train ~domains params data in
-      let got = Array.map (Gbt.Booster.predict par) probes in
-      Alcotest.(check (array (float 0.0)))
-        (Printf.sprintf "bit-identical predictions at domains=%d" domains)
-        expected got)
-    [ 2; 4; 8 ]
-
 (* The exact split finder's specification, kept here as a naive reference:
    every node re-sorts its own samples by (value, index) on each feature and
    scans them with the same sums and tie rules — node totals in ascending
@@ -273,8 +249,6 @@ let () =
           Alcotest.test_case "num trees" `Quick test_booster_num_trees;
           Alcotest.test_case "empty dataset" `Quick test_booster_empty_dataset;
           Alcotest.test_case "subsample" `Quick test_booster_subsample;
-          Alcotest.test_case "parallel training = sequential" `Quick
-            test_training_parallel_equals_sequential;
           QCheck_alcotest.to_alcotest qcheck_booster_interpolates_mean;
         ] );
     ]
