@@ -35,3 +35,42 @@ let for_ ~domains lo hi f =
                f i
              done)
            ranges)
+
+let mapi ~domains a f =
+  let n = Array.length a in
+  if n = 0 then [||]
+  else begin
+    let out = Array.make n (f 0 a.(0)) in
+    (* Index 0 is already computed by the initialiser above. *)
+    for_ ~domains 1 n (fun i -> out.(i) <- f i a.(i));
+    out
+  end
+
+let map ~domains a f = mapi ~domains a (fun _ x -> f x)
+
+let reduce ~domains lo hi ~init f combine =
+  if hi - lo <= 0 then init
+  else if domains <= 1 || hi - lo <= 1 then begin
+    let acc = ref init in
+    for i = lo to hi - 1 do
+      acc := combine !acc (f i)
+    done;
+    !acc
+  end
+  else begin
+    (* Each chunk folds from its own first element so that [init] enters the
+       result exactly once, in the final left-to-right combination below. *)
+    let ranges = Array.of_list (chunks ~n:domains lo hi) in
+    let parts = Array.make (Array.length ranges) None in
+    let run k (a, b) () =
+      let acc = ref (f a) in
+      for i = a + 1 to b - 1 do
+        acc := combine !acc (f i)
+      done;
+      parts.(k) <- Some !acc
+    in
+    Pool.run_all (Pool.default ()) (Array.to_list (Array.mapi run ranges));
+    Array.fold_left
+      (fun acc part -> match part with Some v -> combine acc v | None -> acc)
+      init parts
+  end

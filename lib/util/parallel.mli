@@ -1,11 +1,11 @@
 (** Fork-join parallelism over OCaml 5 domains.
 
-    A thin, dependency-free replacement for domainslib: a chunked
-    parallel-for with a bounded number of chunks, executed on the persistent
-    worker pool [Pool.default] (no [Domain.spawn] per call).  It degrades to
-    a sequential loop when [domains <= 1] or when the default pool has no
-    workers, which keeps unit tests deterministic and cheap on single-core
-    hosts. *)
+    A thin, dependency-free replacement for domainslib: chunked parallel-for,
+    parallel-map and parallel-reduce with a bounded number of chunks, executed
+    on the persistent worker pool [Pool.default] (no [Domain.spawn] per call).
+    All entry points degrade to sequential execution when [domains <= 1] or
+    when the default pool has no workers, which keeps unit tests deterministic
+    and cheap on single-core hosts. *)
 
 val recommended_domains : unit -> int
 (** Number of domains to use by default: [Domain.recommended_domain_count],
@@ -15,3 +15,17 @@ val for_ : domains:int -> int -> int -> (int -> unit) -> unit
 (** [for_ ~domains lo hi f] runs [f i] for every [lo <= i < hi].  Iterations
     are split into [domains] contiguous chunks; [f] must be safe to run
     concurrently on disjoint indices. *)
+
+val map : domains:int -> 'a array -> ('a -> 'b) -> 'b array
+(** Parallel [Array.map]; preserves order. *)
+
+val mapi : domains:int -> 'a array -> (int -> 'a -> 'b) -> 'b array
+(** Parallel [Array.mapi]; preserves order. *)
+
+val reduce : domains:int -> int -> int -> init:'a -> (int -> 'a) -> ('a -> 'a -> 'a) -> 'a
+(** [reduce ~domains lo hi ~init f combine] folds [combine] over [f i] for all
+    [lo <= i < hi].  [combine] must be associative, but [init] need not be its
+    identity: it is folded in exactly once, as the leftmost operand of the
+    final chunk combination.  Chunk partials are combined left-to-right in
+    index order, so for an associative [combine] the result does not depend on
+    [domains]. *)

@@ -145,6 +145,20 @@ let run_all t fns =
       match latch.l_exn with Some e -> raise e | None -> ()
     end
 
+let run_all_deadline t ~now ~deadline fns =
+  let ran = Atomic.make 0 in
+  (* The gate consults the clock at task *start*: tasks already running when
+     the deadline passes complete normally, tasks not yet started are skipped
+     (their thunk is never invoked).  A task that raises is not counted. *)
+  let gated f () =
+    if now () < deadline then begin
+      f ();
+      Atomic.incr ran
+    end
+  in
+  run_all t (List.map gated fns);
+  Atomic.get ran
+
 let shutdown t =
   Mutex.lock t.lock;
   if t.stopped || t.n_workers = 0 then begin

@@ -24,8 +24,8 @@ val workers : t -> int
 (** Number of live worker domains (0 after [shutdown]). *)
 
 val default : unit -> t
-(** The process-wide shared pool, created on first use.  [Parallel.for_]
-    routes its chunks through this pool. *)
+(** The process-wide shared pool, created on first use.  [Parallel] routes
+    all its chunked operations through this pool. *)
 
 val ensure_workers : t -> int -> unit
 (** [ensure_workers t n] grows the pool to at least [n] workers (never
@@ -42,6 +42,18 @@ val run_all : t -> (unit -> unit) list -> unit
     With zero workers (or after [shutdown]) the thunks run inline on the
     caller, in order.  Safe to call concurrently from several threads and
     from inside a pooled task. *)
+
+val run_all_deadline :
+  t -> now:(unit -> float) -> deadline:float -> (unit -> unit) list -> int
+(** [run_all_deadline t ~now ~deadline fns] is [run_all] with a task-start
+    gate: each thunk runs only if [now () < deadline] at the moment a thread
+    picks it up.  Thunks already running when the deadline passes are never
+    interrupted — the bound is cooperative, suited to batches whose
+    individual tasks are short.  Returns the number of thunks that ran to
+    completion (skipped and faulting thunks are not counted).  The clock is
+    injected so callers choose the time base — wall clock for real
+    deadlines, a fake counter in tests — and [util] stays free of a [unix]
+    dependency.  Exceptions propagate exactly as in [run_all]. *)
 
 val shutdown : t -> unit
 (** Signals workers to exit and joins them.  Idempotent.  Subsequent

@@ -519,6 +519,71 @@ let test_error_paths () =
 
 (* --- explorer / tuner / baselines --- *)
 
+(* Force real workers into the shared pool (even on single-core hosts) so
+   that [concurrently] overlaps its runs on several domains. *)
+let () = Util.Pool.ensure_workers (Util.Pool.default ()) 3
+
+(* [lanes] runs of [f] at once: [Pool.run_all] hands all but the first to
+   the pool's worker domains.  Results come back in lane order. *)
+let concurrently lanes f =
+  let out = Array.make lanes None in
+  Util.Pool.run_all (Util.Pool.default ())
+    (List.init lanes (fun lane () -> out.(lane) <- Some (f ())));
+  Array.map Option.get out
+
+(* An explore keeps all its state local and only reads the space and the
+   model, so explores overlapping on several domains over one shared model
+   must rank exactly as an explore run alone. *)
+let test_explorer_parallel_equals_sequential () =
+  let space = direct_space () in
+  let model = Core.Cost_model.create spec_layer in
+  (* Train the model a little so walks actually follow predicted costs. *)
+  let train_rng = Util.Rng.create 21 in
+  for _ = 1 to 40 do
+    let cfg = Core.Search_space.sample space train_rng in
+    Core.Cost_model.add_measurement model cfg (Core.Tuner.measure_config arch spec_layer cfg)
+  done;
+  Core.Cost_model.retrain model;
+  let ranking () =
+    let rng = Util.Rng.create 13 in
+    let starts = [ Core.Search_space.default_config space ] in
+    Core.Explorer.explore ~space ~model ~rng ~starts ()
+  in
+  let sequential = ranking () in
+  Alcotest.(check bool) "non-empty" true (sequential <> []);
+  List.iter
+    (fun lanes ->
+      Array.iteri
+        (fun lane parallel ->
+          Alcotest.(check bool)
+            (Printf.sprintf "identical candidate ranking, lane %d of %d" lane lanes)
+            true (parallel = sequential))
+        (concurrently lanes ranking))
+    [ 2; 8 ]
+
+(* A tune runs entirely on the domain that calls it, so tunes overlapping on
+   several domains must each reproduce a tune run alone, bit for bit. *)
+let test_tuner_parallel_equals_sequential () =
+  let run () = Core.Tuner.tune ~seed:4 ~max_measurements:120 ~space:(direct_space ()) () in
+  let seq = run () in
+  List.iter
+    (fun lanes ->
+      Array.iteri
+        (fun lane (par : Core.Tuner.result) ->
+          let name what = Printf.sprintf "%s, lane %d of %d" what lane lanes in
+          Alcotest.(check bool) (name "same best config") true
+            (par.best_config = seq.best_config);
+          Alcotest.(check (float 0.0)) (name "bit-identical best runtime")
+            seq.best_runtime_us par.best_runtime_us;
+          Alcotest.(check int) (name "same measurement count") seq.measurements
+            par.measurements;
+          Alcotest.(check int) (name "same convergence point") seq.converged_at
+            par.converged_at;
+          Alcotest.(check bool) (name "bit-identical history") true
+            (par.history = seq.history))
+        (concurrently lanes run))
+    [ 2; 4 ]
+
 let test_explorer_returns_members () =
   let space = direct_space () in
   let model = Core.Cost_model.create spec_layer in
@@ -1008,6 +1073,10 @@ let () =
       ( "tuning",
         [
           Alcotest.test_case "explorer members" `Quick test_explorer_returns_members;
+          Alcotest.test_case "explorer parallel = sequential" `Quick
+            test_explorer_parallel_equals_sequential;
+          Alcotest.test_case "tuner parallel = sequential" `Slow
+            test_tuner_parallel_equals_sequential;
           Alcotest.test_case "tuner improves and converges" `Slow test_tuner_improves_and_converges;
           Alcotest.test_case "ATE vs TVM (Table 2 miniature)" `Slow test_ate_beats_tvm_on_search_cost;
           Alcotest.test_case "tuner deterministic" `Slow test_tuner_deterministic;

@@ -334,32 +334,46 @@ let same_result name (a : Core.Tuner.result) (b : Core.Tuner.result) =
   Alcotest.(check bool) (name ^ ": history") true (a.history = b.history);
   Alcotest.(check int) (name ^ ": converged_at") a.converged_at b.converged_at
 
-let test_torture () =
-  let rounds = if deep then 10 else 3 in
+(* Runs [lanes] harnesses at once (all but the first on the pool's worker
+   domains), each on its own journal with its own fault seeds, against one
+   uninterrupted run: a resumed tune shares nothing with the tunes beside
+   it. *)
+let torture ~lanes ~rounds ~seed_base () =
   let uninterrupted = tune () in
-  let journal = Filename.temp_file "torture" ".journal" in
-  Sys.remove journal;
-  let cleanup () = try Sys.remove journal with Sys_error _ -> () in
-  Fun.protect ~finally:cleanup @@ fun () ->
-  let journalled = tune ~journal () in
-  same_result "journalled run" uninterrupted journalled;
-  (* A pristine copy of the journal, restored before each round. *)
-  let jbytes = read_file journal in
-  let saw_drop = ref false in
-  for round = 1 to rounds do
-    write_file journal jbytes;
-    let rng = Util.Rng.create (1000 + round) in
-    (* 1-2 faults per round: a crash can tear the journal more than once. *)
-    for _ = 1 to 1 + Util.Rng.int rng 2 do
-      ignore (Util.Fs_faults.inject rng journal)
-    done;
-    let resumed = tune ~journal () in
-    same_result (Printf.sprintf "round=%d" round) uninterrupted resumed;
-    if resumed.faults.journal_dropped > 0 then saw_drop := true
-  done;
-  Alcotest.(check bool) "some round detected corruption" true !saw_drop
+  let saw_drop = Atomic.make false in
+  let harness lane () =
+    let journal = Filename.temp_file "torture" ".journal" in
+    Sys.remove journal;
+    let cleanup () = try Sys.remove journal with Sys_error _ -> () in
+    Fun.protect ~finally:cleanup @@ fun () ->
+    let journalled = tune ~journal () in
+    same_result (Printf.sprintf "lane=%d journalled run" lane) uninterrupted journalled;
+    (* A pristine copy of the journal, restored before each round. *)
+    let jbytes = read_file journal in
+    for round = 1 to rounds do
+      write_file journal jbytes;
+      let rng = Util.Rng.create (seed_base + (1000 * lane) + round) in
+      (* 1-2 faults per round: a crash can tear the journal more than once. *)
+      for _ = 1 to 1 + Util.Rng.int rng 2 do
+        ignore (Util.Fs_faults.inject rng journal)
+      done;
+      let resumed = tune ~journal () in
+      same_result (Printf.sprintf "lane=%d round=%d" lane round) uninterrupted resumed;
+      if resumed.faults.journal_dropped > 0 then Atomic.set saw_drop true
+    done
+  in
+  Util.Pool.run_all (Util.Pool.default ()) (List.init lanes harness);
+  Alcotest.(check bool) "some round detected corruption" true (Atomic.get saw_drop)
+
+let test_torture_sequential () =
+  torture ~lanes:1 ~rounds:(if deep then 10 else 3) ~seed_base:1000 ()
+
+let test_torture_parallel () =
+  torture ~lanes:4 ~rounds:(if deep then 6 else 2) ~seed_base:4000 ()
 
 let () =
+  (* Force real workers into the shared pool, even on single-core hosts. *)
+  Util.Pool.ensure_workers (Util.Pool.default ()) 3;
   Alcotest.run "durable"
     [
       ( "durable",
@@ -391,6 +405,9 @@ let () =
             test_journal_recover_rewrites ] );
       ( "crash-torture",
         [
-          Alcotest.test_case "kill + corrupt + resume, sequential" `Quick test_torture;
+          Alcotest.test_case "kill + corrupt + resume, sequential" `Quick
+            test_torture_sequential;
+          Alcotest.test_case "kill + corrupt + resume, parallel" `Quick
+            test_torture_parallel;
         ] );
     ]

@@ -1,7 +1,8 @@
 (* Fault-tolerance smoke suite — backs the [@fault-smoke] dune alias.
 
    End-to-end checks that the tuner survives injected measurement faults,
-   reports accurate failure/retry statistics, resumes a killed
+   reports accurate failure/retry statistics, gives the same answer when
+   several faulted tunes run at once on worker domains, resumes a killed
    journal-backed run to the uninterrupted run's exact result, and still
    folds a resume's replays when the deadline gate skips its live
    measurements.  Budgeted to stay well under ten seconds at the fixed
@@ -53,6 +54,29 @@ let test_zero_profile_is_plain_run () =
   Alcotest.(check int) "no nan readings" 0 f.nan_readings;
   Alcotest.(check (float 0.0)) "no backoff" 0.0 f.backoff_us
 
+(* [lanes] runs of [f] at once: [Pool.run_all] hands all but the first to
+   the pool's worker domains.  Results come back in lane order. *)
+let concurrently lanes f =
+  let out = Array.make lanes None in
+  Util.Pool.run_all (Util.Pool.default ())
+    (List.init lanes (fun lane () -> out.(lane) <- Some (f ())));
+  Array.map Option.get out
+
+(* Fault injection draws from the tune's own seeded streams, so tunes
+   overlapping on several domains must each reproduce the lone faulted run,
+   down to its fault statistics. *)
+let test_parallel_identical_under_faults () =
+  let baseline = tune ~faults:harsh () in
+  List.iter
+    (fun lanes ->
+      Array.iteri
+        (fun lane (r : Core.Tuner.result) ->
+          let name = Printf.sprintf "lane %d of %d" lane lanes in
+          same_result name baseline r;
+          Alcotest.(check bool) (name ^ ": fault stats") true (r.faults = baseline.faults))
+        (concurrently lanes (fun () -> tune ~faults:harsh ())))
+    [ 2; 4 ]
+
 let read_lines path =
   let ic = open_in path in
   Fun.protect
@@ -88,8 +112,9 @@ let write_stray_checkpoint path =
   Util.Durable.write_snapshot ~kind:"gbt-checkpoint" path
     (List.map (fun n -> Printf.sprintf "c2\t%d\texact\t%s" n booster) [ 16; 32; 48 ])
 
-let test_kill_and_resume () =
-  let uninterrupted = tune ~faults:harsh () in
+(* Journal a tune, kill it a third of the way in, resume it and replay it
+   in full, checking every run against [uninterrupted]. *)
+let kill_and_resume uninterrupted =
   let journal = Filename.temp_file "tune" ".journal" in
   Sys.remove journal;
   (* Journalling itself must not perturb the search. *)
@@ -119,6 +144,14 @@ let test_kill_and_resume () =
   Sys.remove journal;
   Sys.remove stray
 
+let test_kill_and_resume_sequential () = kill_and_resume (tune ~faults:harsh ())
+
+(* Four scenarios at once on worker domains, each on its own journal: a
+   journalled tune shares nothing with the tunes beside it. *)
+let test_kill_and_resume_parallel () =
+  let uninterrupted = tune ~faults:harsh () in
+  ignore (concurrently 4 (fun () -> kill_and_resume uninterrupted))
+
 (* The deadline gate is read once per batch, before its first live
    measurement, and replays charge no virtual time.  So a resume with an
    already-spent budget still folds the journal's records from round 0's
@@ -147,6 +180,8 @@ let test_spent_deadline_folds_replays () =
   Sys.remove journal
 
 let () =
+  (* Force real workers into the shared pool, even on single-core hosts. *)
+  Util.Pool.ensure_workers (Util.Pool.default ()) 3;
   Alcotest.run "faults"
     [
       ( "fault-smoke",
@@ -155,7 +190,12 @@ let () =
             test_tuner_completes_under_faults;
           Alcotest.test_case "zero profile is the plain run" `Quick
             test_zero_profile_is_plain_run;
-          Alcotest.test_case "kill and resume, sequential" `Quick test_kill_and_resume;
+          Alcotest.test_case "parallel identical under faults" `Quick
+            test_parallel_identical_under_faults;
+          Alcotest.test_case "kill and resume, sequential" `Quick
+            test_kill_and_resume_sequential;
+          Alcotest.test_case "kill and resume, parallel" `Quick
+            test_kill_and_resume_parallel;
           Alcotest.test_case "spent deadline still folds replays" `Quick
             test_spent_deadline_folds_replays;
         ] );

@@ -110,6 +110,36 @@ let test_booster_subsample () =
   let rmse = Gbt.Booster.train_rmse booster data in
   Alcotest.(check bool) (Printf.sprintf "subsampled rmse %.3f" rmse) true (rmse < 0.6)
 
+let test_training_parallel_equals_sequential () =
+  (* Training keeps every buffer inside its own booster and only reads the
+     dataset, so boosters trained at once on real worker domains (forced
+     into the shared pool even on single-core hosts), all from one shared
+     dataset, must not move a single ulp from one trained alone. *)
+  Util.Pool.ensure_workers (Util.Pool.default ()) 3;
+  let data = make_dataset 600 (fun x0 x1 -> (x0 *. x1) +. sin (3.0 *. x0) -. x1) in
+  let params = { Gbt.Booster.default_params with rounds = 12 } in
+  let probes =
+    let rng = Util.Rng.create 5 in
+    Array.init 50 (fun _ ->
+        [| Util.Rng.float rng 4.0 -. 2.0; Util.Rng.float rng 4.0 -. 2.0 |])
+  in
+  let predictions booster = Array.map (Gbt.Booster.predict booster) probes in
+  let expected = predictions (Gbt.Booster.train params data) in
+  List.iter
+    (fun lanes ->
+      let boosters = Array.make lanes None in
+      Util.Pool.run_all (Util.Pool.default ())
+        (List.init lanes (fun lane () ->
+             boosters.(lane) <- Some (Gbt.Booster.train params data)));
+      Array.iteri
+        (fun lane booster ->
+          Alcotest.(check (array (float 0.0)))
+            (Printf.sprintf "bit-identical predictions, lane %d of %d" lane lanes)
+            expected
+            (predictions (Option.get booster)))
+        boosters)
+    [ 2; 4; 8 ]
+
 (* The exact split finder's specification, kept here as a naive reference:
    every node re-sorts its own samples by (value, index) on each feature and
    scans them with the same sums and tie rules — node totals in ascending
@@ -249,6 +279,8 @@ let () =
           Alcotest.test_case "num trees" `Quick test_booster_num_trees;
           Alcotest.test_case "empty dataset" `Quick test_booster_empty_dataset;
           Alcotest.test_case "subsample" `Quick test_booster_subsample;
+          Alcotest.test_case "parallel training = sequential" `Quick
+            test_training_parallel_equals_sequential;
           QCheck_alcotest.to_alcotest qcheck_booster_interpolates_mean;
         ] );
     ]

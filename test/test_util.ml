@@ -112,8 +112,42 @@ let test_parallel_for_matches_sequential () =
   Util.Parallel.for_ ~domains:4 0 n (fun i -> par.(i) <- i * i);
   Alcotest.(check (array int)) "same results" seq par
 
+let test_parallel_map () =
+  let a = Array.init 100 Fun.id in
+  let doubled = Util.Parallel.map ~domains:3 a (fun x -> 2 * x) in
+  Alcotest.(check (array int)) "map" (Array.map (fun x -> 2 * x) a) doubled
+
+let test_parallel_reduce () =
+  let total = Util.Parallel.reduce ~domains:4 0 101 ~init:0 Fun.id ( + ) in
+  Alcotest.(check int) "sum 0..100" 5050 total
+
+let test_parallel_reduce_nonidentity_init () =
+  (* The seed implementation folded [init] into every chunk; it must enter
+     the result exactly once regardless of the domain count. *)
+  List.iter
+    (fun domains ->
+      let total = Util.Parallel.reduce ~domains 0 10 ~init:1000 Fun.id ( + ) in
+      Alcotest.(check int) (Printf.sprintf "init once at domains=%d" domains) 1045 total)
+    [ 1; 2; 4; 8 ];
+  let product = Util.Parallel.reduce ~domains:3 1 7 ~init:10 Fun.id ( * ) in
+  Alcotest.(check int) "product with non-identity init" 7200 product
+
+let test_parallel_reduce_domain_invariant () =
+  let at domains =
+    Util.Parallel.reduce ~domains 0 1000 ~init:0.5 (fun i -> float_of_int i *. 0.25) ( +. )
+  in
+  let expected = at 1 in
+  List.iter
+    (fun domains ->
+      Alcotest.(check (float 1e-9))
+        (Printf.sprintf "domains=%d" domains)
+        expected (at domains))
+    [ 2; 3; 8 ]
+
 let test_parallel_empty_range () =
-  Util.Parallel.for_ ~domains:4 5 5 (fun _ -> Alcotest.fail "must not run")
+  Util.Parallel.for_ ~domains:4 5 5 (fun _ -> Alcotest.fail "must not run");
+  let r = Util.Parallel.reduce ~domains:4 5 5 ~init:7 (fun _ -> 0) ( + ) in
+  Alcotest.(check int) "reduce empty" 7 r
 
 (* --- the persistent domain pool --- *)
 
@@ -201,6 +235,54 @@ let test_pool_faults_at_random_indices () =
   Alcotest.(check int) "pool usable after faulting rounds" 16 (Atomic.get total);
   Util.Pool.shutdown pool
 
+let test_pool_deadline () =
+  let pool = Util.Pool.create ~workers:0 () in
+  (* Zero workers forces inline execution, making the fake clock's ticking
+     order deterministic: tasks start strictly one after another. *)
+  let clock = ref 0.0 in
+  let now () = !clock in
+  let ran = Array.make 10 false in
+  let task i () =
+    ran.(i) <- true;
+    clock := !clock +. 1.0
+  in
+  let n = Util.Pool.run_all_deadline pool ~now ~deadline:4.5 (List.init 10 task) in
+  Alcotest.(check int) "five tasks started before the deadline" 5 n;
+  Alcotest.(check (array bool))
+    "exactly the first five ran"
+    (Array.init 10 (fun i -> i < 5))
+    ran;
+  (* A deadline in the past runs nothing. *)
+  clock := 0.0;
+  let m = Util.Pool.run_all_deadline pool ~now ~deadline:0.0 [ (fun () -> Alcotest.fail "must not run") ] in
+  Alcotest.(check int) "expired deadline skips all" 0 m;
+  (* Exceptions propagate and faulting tasks are not counted. *)
+  clock := 0.0;
+  (match
+     Util.Pool.run_all_deadline pool ~now ~deadline:100.0
+       [ (fun () -> clock := !clock +. 1.0); (fun () -> raise (Boom 1)) ]
+   with
+  | _ -> Alcotest.fail "expected Boom"
+  | exception Boom 1 -> ());
+  Util.Pool.shutdown pool
+
+let test_pool_deadline_parallel () =
+  (* Over real workers the start-order is nondeterministic, so assert the
+     weaker (scheduling-independent) contract: the count matches the tasks
+     that actually ran, and a generous deadline runs everything. *)
+  let pool = Util.Pool.create ~workers:3 () in
+  let clock = Atomic.make 0 in
+  let now () = float_of_int (Atomic.get clock) in
+  let ran = Atomic.make 0 in
+  let task () =
+    ignore (Atomic.fetch_and_add clock 1);
+    ignore (Atomic.fetch_and_add ran 1)
+  in
+  let n = Util.Pool.run_all_deadline pool ~now ~deadline:1e9 (List.init 40 (fun _ -> task)) in
+  Alcotest.(check int) "all tasks ran" 40 n;
+  Alcotest.(check int) "count matches executions" 40 (Atomic.get ran);
+  Util.Pool.shutdown pool
+
 let test_pool_shutdown_and_inline () =
   let pool = Util.Pool.create ~workers:2 () in
   Util.Pool.shutdown pool;
@@ -226,10 +308,10 @@ let test_pool_default_grows () =
   let pool = Util.Pool.default () in
   Util.Pool.ensure_workers pool 3;
   Alcotest.(check bool) "at least 3 workers" true (Util.Pool.workers pool >= 3);
-  (* for_ routes through the default pool. *)
-  let doubled = Array.make 1000 0 in
-  Util.Parallel.for_ ~domains:4 0 1000 (fun i -> doubled.(i) <- 2 * i);
-  Alcotest.(check (array int)) "for_ over grown pool" (Array.init 1000 (fun i -> 2 * i)) doubled
+  (* for_/map/reduce route through the default pool. *)
+  let a = Array.init 1000 Fun.id in
+  let doubled = Util.Parallel.map ~domains:4 a (fun x -> 2 * x) in
+  Alcotest.(check (array int)) "map over grown pool" (Array.map (fun x -> 2 * x) a) doubled
 
 let test_table_render () =
   let t = Util.Table.create [ "a"; "bee" ] in
@@ -461,6 +543,12 @@ let () =
         [
           Alcotest.test_case "recommended domains" `Quick test_parallel_recommended_domains;
           Alcotest.test_case "for_ matches sequential" `Quick test_parallel_for_matches_sequential;
+          Alcotest.test_case "map" `Quick test_parallel_map;
+          Alcotest.test_case "reduce" `Quick test_parallel_reduce;
+          Alcotest.test_case "reduce non-identity init" `Quick
+            test_parallel_reduce_nonidentity_init;
+          Alcotest.test_case "reduce domain invariant" `Quick
+            test_parallel_reduce_domain_invariant;
           Alcotest.test_case "empty range" `Quick test_parallel_empty_range;
         ] );
       ( "pool",
@@ -471,6 +559,8 @@ let () =
           Alcotest.test_case "exception propagates" `Quick test_pool_exception_propagates;
           Alcotest.test_case "faults at random indices" `Quick
             test_pool_faults_at_random_indices;
+          Alcotest.test_case "deadline gating" `Quick test_pool_deadline;
+          Alcotest.test_case "deadline over workers" `Quick test_pool_deadline_parallel;
           Alcotest.test_case "shutdown + inline + revive" `Quick test_pool_shutdown_and_inline;
           Alcotest.test_case "default pool grows" `Quick test_pool_default_grows;
         ] );
