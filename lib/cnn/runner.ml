@@ -33,94 +33,15 @@ let remember ~key ~replayed result =
   Hashtbl.replace memo key entry;
   entry
 
-(* A cache entry as a memoisable result.  The search history is gone — only
-   the answer survives — so [stop] is a placeholder that [replayed] flags. *)
-let result_of_entry (e : Service.Result_cache.entry) =
-  {
-    Core.Tuner.best_config = e.config;
-    best_runtime_us = e.runtime_us;
-    best_gflops = e.gflops;
-    measurements = e.trials;
-    converged_at = 0;
-    history = [];
-    space_size = 0.0;
-    faults = Core.Tuner.no_faults;
-    stop = Core.Tuner.Converged;
-  }
-
-(* The entry a memo key already has: the memo's own, else the cache's —
-   memoised as replayed, so later calls (and later models sharing the
-   shape) keep its provenance. *)
-let recall cache ~key ~canonical =
-  match Hashtbl.find_opt memo key with
-  | Some _ as hit -> hit
-  | None ->
-    Option.bind cache (fun cache -> Service.Result_cache.find cache ~canonical)
-    |> Option.map (fun e -> remember ~key ~replayed:true (result_of_entry e))
-
-(* A live result goes to the cache once, priced the way the auditor
-   re-derives it on every later read. *)
-let write_back cache ~source arch spec ~canonical (r : Core.Tuner.result) =
-  Option.iter
-    (fun cache ->
-      Service.Result_cache.put cache
-        {
-          Service.Result_cache.key = Service.Result_cache.key_of_canonical canonical;
-          canonical;
-          source;
-          runtime_us = r.best_runtime_us;
-          gflops = r.best_gflops;
-          predicted_us = Verify.Audit.predicted_us arch spec r.best_config;
-          trials = r.measurements;
-          config = r.best_config;
-        })
-    cache
-
-(* The domain's content key (the cache's), and the memo key: the tune's
-   identity, which also names its journal. *)
-let keys arch spec algorithm ~seed ~max_measurements ~faults =
-  let canonical = Core.Search_space.canonical_key arch spec algorithm ~pruned:true in
-  ( canonical,
-    Service.Tune_identity.make ~canonical ~seed ~budget:max_measurements ~faults )
-
-(* One candidate: memo, then cache, then a live tune.  The flag says
-   whether a tune ran. *)
-let resolve ?cache ~seed ~max_measurements ?faults ?journal_dir arch spec algorithm =
-  let canonical, key = keys arch spec algorithm ~seed ~max_measurements ~faults in
-  match recall cache ~key ~canonical with
-  | Some entry -> (entry, false)
-  | None ->
-    let journal =
-      Option.map (fun dir -> Service.Tune_identity.journal_path ~dir key) journal_dir
-    in
-    let space = Core.Search_space.make arch spec algorithm in
-    let result = Core.Tuner.tune ~seed ~max_measurements ?faults ?journal ~space () in
-    write_back cache ~source:Service.Protocol.Src_tuned arch spec ~canonical result;
-    (remember ~key ~replayed:false result, true)
-
-let tuned_runtime ?(seed = 0) ?(max_measurements = 200) ?faults ?journal_dir arch spec
-    algorithm =
-  (fst (resolve ~seed ~max_measurements ?faults ?journal_dir arch spec algorithm)).result
-
-(* --- supervised tuning: route one candidate through a Supervisor session --- *)
-
-(* The memoised runtime becomes whatever the outcome carries, so repeated
-   shapes cost the session nothing; a degraded task memoises a synthesised
-   result (the analytic or breaker-salvaged best) whose [stop] records why
-   the search was cut short.  The truthful outcome lives in the session's
-   report either way. *)
-let result_of_degraded spec reason config runtime_us faults =
-  let stop =
-    match (reason : Core.Supervisor.degrade_reason) with
-    | Core.Supervisor.Breaker_open { consecutive; _ } ->
-      Core.Tuner.Breaker_tripped consecutive
-    | Core.Supervisor.Budget_exhausted _ -> Core.Tuner.Deadline_reached
-  in
+(* A result whose search history is gone — a cache entry's answer, or a
+   degraded task's salvaged or analytic best — so [stop] carries only what
+   the caller knows about how it ended. *)
+let bare_result ~config ~runtime_us ~gflops ~measurements ~faults ~stop =
   {
     Core.Tuner.best_config = config;
     best_runtime_us = runtime_us;
-    best_gflops = Core.Tuner.nominal_gflops spec ~runtime_us;
-    measurements = 0;
+    best_gflops = gflops;
+    measurements;
     converged_at = 0;
     history = [];
     space_size = 0.0;
@@ -128,46 +49,84 @@ let result_of_degraded spec reason config runtime_us faults =
     stop;
   }
 
-(* [resolve] under supervision: hits are recorded as free replays, a
-   degraded result is memoised but kept out of the cache (a fresh budget
-   should tune it properly), and a task that cannot start resolves to
-   [None]. *)
-let resolve_supervised session ?cache ~seed ~max_measurements ?faults ?journal_dir arch
-    spec algorithm =
-  let canonical, key = keys arch spec algorithm ~seed ~max_measurements ~faults in
+(* The entry a memo key already has: the memo's own, else the cache's —
+   memoised as replayed, so later calls (and later models sharing the
+   shape) keep its provenance.  A cached answer's [stop] is a placeholder
+   that [replayed] flags. *)
+let recall cache ~key ~canonical =
+  match Hashtbl.find_opt memo key with
+  | Some _ as hit -> hit
+  | None ->
+    Option.bind cache (fun cache -> Service.Result_cache.find cache ~canonical)
+    |> Option.map (fun (e : Service.Result_cache.entry) ->
+           remember ~key ~replayed:true
+             (bare_result ~config:e.config ~runtime_us:e.runtime_us ~gflops:e.gflops
+                ~measurements:e.trials ~faults:Core.Tuner.no_faults
+                ~stop:Core.Tuner.Converged))
+
+(* A call without supervision runs under a private session with no circuit
+   breaker and an unbounded budget: the plain tuner's defaults, so every
+   successful answer is the plain tuner's.  A tune with no successful trial
+   degrades. *)
+let private_session () =
+  Core.Supervisor.create ~policy:{ Core.Supervisor.default_policy with breaker_k = 0 }
+    ~tasks:1 ()
+
+(* One candidate: memo, then cache, then a supervised tune.  Hits are
+   recorded as free replays; a tuned or replayed result is memoised and put
+   in the cache (audited there, on an audited cache); a degraded one is
+   memoised with a [stop] that says why the search was cut short, but kept
+   out of the cache (a fresh budget should tune it properly); a task that
+   cannot start resolves to [None].  The flag says whether a tune ran. *)
+let resolve session ?cache ~seed ~max_measurements ?faults ?journal_dir arch spec algorithm
+    =
+  let canonical = Core.Search_space.canonical_key arch spec algorithm ~pruned:true in
+  let key = Service.Resolver.identity ~canonical ~seed ~budget:max_measurements ~faults in
   match recall cache ~key ~canonical with
   | Some entry ->
     ignore (Core.Supervisor.record_cached session ~key:canonical entry.result);
     (Some entry, false)
   | None ->
-    let entry =
-      match Core.Search_space.make arch spec algorithm with
-      | exception Invalid_argument msg ->
-        ignore
-          (Core.Supervisor.record_failed session ~key:canonical
-             (Core.Supervisor.Empty_domain msg));
-        None
-      | space -> (
-        let journal =
-      Option.map (fun dir -> Service.Tune_identity.journal_path ~dir key) journal_dir
+    let live source r =
+      Option.iter
+        (fun cache ->
+          Service.Result_cache.put cache
+            (Service.Resolver.entry ~canonical ~source arch spec r))
+        cache;
+      Some (remember ~key ~replayed:false r)
     in
-        let live source r =
-          write_back cache ~source arch spec ~canonical r;
-          Some (remember ~key ~replayed:false r)
+    let entry =
+      match
+        Service.Resolver.tune session ~canonical ~seed ~budget:max_measurements ?faults
+          ?journal_dir ~pruned:true arch spec algorithm
+      with
+      | Core.Supervisor.Tuned r -> live Service.Protocol.Src_tuned r
+      | Core.Supervisor.Replayed r -> live Service.Protocol.Src_replayed r
+      | Core.Supervisor.Degraded { reason; config; runtime_us; faults } ->
+        let stop =
+          match reason with
+          | Core.Supervisor.Breaker_open { consecutive; _ } ->
+            Core.Tuner.Breaker_tripped consecutive
+          | Core.Supervisor.Budget_exhausted _ -> Core.Tuner.Deadline_reached
         in
-        match
-          Core.Supervisor.tune_task session ~key:canonical ~seed ~max_measurements ?faults
-            ?journal ~space ()
-        with
-        | Core.Supervisor.Tuned r -> live Service.Protocol.Src_tuned r
-        | Core.Supervisor.Replayed r -> live Service.Protocol.Src_replayed r
-        | Core.Supervisor.Degraded { reason; config; runtime_us; faults } ->
-          Some
-            (remember ~key ~replayed:false
-               (result_of_degraded spec reason config runtime_us faults))
-        | Core.Supervisor.Failed _ -> None)
+        Some
+          (remember ~key ~replayed:false
+             (bare_result ~config ~runtime_us
+                ~gflops:(Core.Tuner.nominal_gflops spec ~runtime_us)
+                ~measurements:0 ~faults ~stop))
+      | Core.Supervisor.Failed _ -> None
     in
     (entry, true)
+
+let tuned_runtime ?(seed = 0) ?(max_measurements = 200) ?faults ?journal_dir arch spec
+    algorithm =
+  match
+    fst
+      (resolve (private_session ()) ~seed ~max_measurements ?faults ?journal_dir arch spec
+         algorithm)
+  with
+  | Some entry -> entry.result
+  | None -> invalid_arg "Runner.tuned_runtime: empty search space"
 
 (* Winograd on large-e tiles makes no sense for tiny images; use F(2x2) as
    the paper does in its kernels, falling back to F(4x4) only when the output
@@ -203,26 +162,19 @@ let library_timing ~backend arch (layer : Layer.t) =
   end
   else lib_direct
 
-let time_layer ?cache ?(seed = 0) ?(max_measurements = 200) ?(backend = Cudnn) ?faults
-    ?journal_dir ?session arch (layer : Layer.t) =
+(* [time_layer] inside a session: the model's, or a private one. *)
+let time_layer_in session ?cache ~seed ~max_measurements ~backend ?faults ?journal_dir arch
+    (layer : Layer.t) =
   let library = library_timing ~backend arch layer in
-  let resolve_candidate algo =
-    match session with
-    | None ->
-      let entry, tuned =
-        resolve ?cache ~seed ~max_measurements ?faults ?journal_dir arch layer.spec algo
-      in
-      (Some entry, tuned)
-    | Some session ->
-      resolve_supervised session ?cache ~seed ~max_measurements ?faults ?journal_dir arch
-        layer.spec algo
-  in
   (* Candidates resolve direct first and a later one must be strictly
      faster to win, so ties keep the direct dataflow. *)
   let best, live =
     List.fold_left
       (fun (best, live) algo ->
-        let entry, tuned = resolve_candidate algo in
+        let entry, tuned =
+          resolve session ?cache ~seed ~max_measurements ?faults ?journal_dir arch
+            layer.spec algo
+        in
         let best =
           match (entry, best) with
           | Some e, Some (_, b) when e.result.best_runtime_us < b.result.best_runtime_us ->
@@ -250,20 +202,25 @@ let time_layer ?cache ?(seed = 0) ?(max_measurements = 200) ?(backend = Cudnn) ?
     library_algorithm = library.algorithm;
   }
 
-let time_model ?cache ?seed ?max_measurements ?backend ?faults ?journal_dir ?supervise
-    arch (model : Models.t) =
+let time_layer ?cache ?(seed = 0) ?(max_measurements = 200) ?(backend = Cudnn) ?faults
+    ?journal_dir arch layer =
+  time_layer_in (private_session ()) ?cache ~seed ~max_measurements ~backend ?faults
+    ?journal_dir arch layer
+
+let time_model ?cache ?(seed = 0) ?(max_measurements = 200) ?(backend = Cudnn) ?faults
+    ?journal_dir ?supervise arch (model : Models.t) =
   let session =
-    Option.map
-      (fun policy ->
-        let tasks =
-          List.fold_left (fun acc l -> acc + List.length (candidates l)) 0 model.layers
-        in
-        Core.Supervisor.create ~policy ~tasks ())
-      supervise
+    match supervise with
+    | None -> private_session ()
+    | Some policy ->
+      let tasks =
+        List.fold_left (fun acc l -> acc + List.length (candidates l)) 0 model.layers
+      in
+      Core.Supervisor.create ~policy ~tasks ()
   in
   let layers =
     List.map
-      (time_layer ?cache ?seed ?max_measurements ?backend ?faults ?journal_dir ?session
+      (time_layer_in session ?cache ~seed ~max_measurements ~backend ?faults ?journal_dir
          arch)
       model.layers
   in
@@ -278,5 +235,5 @@ let time_model ?cache ?seed ?max_measurements ?backend ?faults ?journal_dir ?sup
     ours_total_us;
     library_total_us;
     speedup = library_total_us /. ours_total_us;
-    health = Option.map Core.Supervisor.report session;
+    health = Option.map (fun _ -> Core.Supervisor.report session) supervise;
   }

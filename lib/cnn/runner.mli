@@ -11,13 +11,21 @@
 
     Model time is the count-weighted sum over layers.
 
-    Tuning results live in one process-wide memo, keyed by the domain's
-    content key ([Core.Search_space.canonical_key ~pruned:true]) plus every
-    other input that decides the result: seed, trial budget and fault
-    profile.  Repeated shapes across and within models therefore tune once.
-    The memo's only durable backing is a [Service.Result_cache] passed as
-    [cache]: a memo miss reads the (audited) cache before tuning, and a
-    live tune is written back to it. *)
+    Tuning results live in one process-wide memo, keyed by the tune's
+    [Service.Resolver.identity]: the domain's content key plus seed, trial
+    budget and fault profile.  Repeated shapes across and within models
+    therefore tune once.  The memo's only durable backing is a
+    [Service.Result_cache] passed as [cache]: a memo miss reads the cache
+    before tuning, and a live tune is put back (audited, on an audited
+    cache).
+
+    Every tune goes through [Service.Resolver.tune], as the daemon's do,
+    inside a [Core.Supervisor] session: the model's under {!time_model}'s
+    [supervise], else a private one with no circuit breaker and an
+    unbounded budget — the plain tuner's defaults, so a successful answer
+    is [Core.Tuner.tune]'s bit for bit.  A tune with no successful trial
+    degrades to an analytic configuration instead of raising; a degraded
+    result is memoised, never cached. *)
 
 type backend = Cudnn | Miopen
 
@@ -66,26 +74,20 @@ val time_layer :
   ?cache:Service.Result_cache.t ->
   ?seed:int -> ?max_measurements:int -> ?backend:backend ->
   ?faults:Gpu_sim.Faults.profile -> ?journal_dir:string ->
-  ?session:Core.Supervisor.session ->
   Gpu_sim.Arch.t -> Layer.t -> layer_timing
 (** Defaults: no result cache, seed 0, 200 measurements per tuning run,
-    cuDNN backend, no injected faults, no journal, no supervision.
+    cuDNN backend, no injected faults, no journal.
 
     With [cache], a memo miss is answered from the cache when it holds the
     key (free, and marked [ours_replayed]); otherwise the candidate is
-    tuned and the result appended to the cache, priced by
+    tuned and a tuned or replayed result is put in the cache, priced by
     [Verify.Audit.predicted_us].  The cache is looked up by content key
     alone, so its generation must name the seed, budget and fault profile
     the call uses.
 
-    With [session], every tuning run goes through
-    [Core.Supervisor.tune_task]: a run whose circuit breaker trips or whose
-    budget share expires degrades to an analytic configuration (recorded in
-    the session and the memo, never in the cache), and a layer with no
-    usable tuning outcome at all reports the library kernel as its own
-    ([ours_algorithm = "library-fallback:..."]) instead of raising.  Memo
-    and cache hits are recorded as replayed tasks that cost the budget
-    nothing. *)
+    A layer with no usable candidate at all (every domain empty) reports
+    the library kernel as its own ([ours_algorithm =
+    "library-fallback:..."]) instead of raising. *)
 
 val time_model :
   ?cache:Service.Result_cache.t ->
@@ -94,10 +96,10 @@ val time_model :
   ?supervise:Core.Supervisor.policy ->
   Gpu_sim.Arch.t -> Models.t -> model_timing
 (** {!time_layer} over every layer.  [supervise] times the model under a
-    fresh supervision session — one budgeted task per (layer shape,
-    algorithm) candidate — and fills [health].  Absent faults and with an
-    unbounded budget the layer timings are identical to the unsupervised
-    run's. *)
+    fresh supervision session with that policy — one budgeted task per
+    (layer shape, algorithm) candidate, memo and cache hits recorded as
+    free replays — and fills [health].  Absent faults and with an unbounded
+    budget the layer timings are identical to the unsupervised run's. *)
 
 val tuned_runtime :
   ?seed:int -> ?max_measurements:int ->
@@ -108,4 +110,4 @@ val tuned_runtime :
     measurement faults; [journal_dir] makes each tuning run journal-backed
     (one file per memo key under the directory), so a killed model-timing
     run resumes its in-flight layer instead of re-measuring it from
-    scratch. *)
+    scratch.  Raises [Invalid_argument] when the domain is empty. *)

@@ -2,13 +2,13 @@
    as a deterministic step machine.  No sockets, no time, no randomness of
    its own — the Sim harness and the real daemon drive the same code.
 
-   Each tune has two halves.  The worker half (search space, supervised
-   tune, journal) runs wherever the injected executor puts it and touches
-   only the supervision session; the loop half (counters, outcome
-   classification, audit, cache, answers) runs inside [step].  So the
-   cache, its quarantine and the counters have a single writer, and the one
-   value crossing between the halves — the worker's result — passes under
-   [lock]. *)
+   Each tune has two halves.  The worker half ([Resolver.tune]: search
+   space, supervised tune, journal) runs wherever the injected executor
+   puts it and touches only the supervision session; the loop half
+   (counters, outcome classification, the audited cache write, answers)
+   runs inside [step].  So the cache, its quarantine and the counters have
+   a single writer, and the one value crossing between the halves — the
+   worker's result — passes under [lock]. *)
 
 type settings = {
   budget_trials : int;
@@ -84,15 +84,11 @@ let zero_counters =
 
 type executor = (unit -> unit) -> unit
 
-(* What the worker half hands back to the loop half. *)
-type tuned =
-  | No_domain of string
-  | Crashed of string
-  | Outcome of Core.Supervisor.outcome
-
 type running = {
   job : job;
-  mutable result : tuned option;  (* written by the worker, under [lock] *)
+  mutable result : (Core.Supervisor.outcome, string) result option;
+      (* the worker half's outcome, or the exception it raised; written by
+         the worker, under [lock] *)
 }
 
 type t = {
@@ -111,11 +107,6 @@ type t = {
   mutable next_client : int;
   mutable draining : bool;
   mutable c : counters;
-  (* Post-tune audits are the engine's own (the cache counts load/hit/scrub
-     audits); a reject here means the tuner itself produced something the
-     invariants refuse — served (it is the truth we have) but never cached. *)
-  mutable post_audits : int;
-  mutable post_rejects : int;
 }
 
 let rec mkdir_p dir =
@@ -150,8 +141,6 @@ let create ?(settings = default_settings) ?(now_ms = fun () -> 0.0)
     next_client = 0;
     draining = false;
     c = zero_counters;
-    post_audits = 0;
-    post_rejects = 0;
   }
 
 let settings t = t.settings
@@ -190,10 +179,10 @@ let stats t =
     ("deadline_shed", string_of_int c.deadline_shed);
     ("salvage_dropped", string_of_int (Result_cache.dropped t.cache));
     ("stale_dropped", string_of_int (Result_cache.stale t.cache));
-    ("audited", string_of_int (Result_cache.audited t.cache + t.post_audits));
+    ("audited", string_of_int (Result_cache.audited t.cache));
     ("quarantined", string_of_int (Result_cache.quarantined t.cache));
     ("scrubbed", string_of_int (Result_cache.scrubbed t.cache));
-    ("audit_rejected", string_of_int t.post_rejects);
+    ("audit_rejected", string_of_int (Result_cache.rejected t.cache));
     ("queued", string_of_int (Queue.length t.jobs));
     ("running", if Option.is_none t.running then "0" else "1");
     ("draining", string_of_bool t.draining);
@@ -273,120 +262,59 @@ let handle_line t out (client, line) =
 (* The worker half: reads only the job's request and the settings, and
    writes only the supervision session and the tune's journal. *)
 let tune_job t job =
-  let req = job.request in
-  match
-    Core.Search_space.make ~pruned:req.Protocol.pruned req.Protocol.arch
-      req.Protocol.spec req.Protocol.algorithm
-  with
-  | exception Invalid_argument msg ->
-    (* Surface the dead-end in the supervision report too, so the daemon's
-       shutdown health summary does not hide requests it could not serve. *)
-    ignore
-      (Core.Supervisor.record_failed t.session ~key:job.key
-         (Core.Supervisor.Empty_domain msg));
-    No_domain msg
-  | space ->
-    let s = t.settings in
-    let journal =
-      Option.map
-        (fun dir ->
-          Tune_identity.journal_path ~dir
-            (Tune_identity.make ~canonical:job.canonical ~seed:s.seed
-               ~budget:s.budget_trials ~faults:s.faults))
-        s.journal_dir
-    in
-    Outcome
-      (Core.Supervisor.tune_task t.session ~key:job.key ~seed:s.seed
-         ~max_measurements:s.budget_trials ?faults:s.faults ?journal ~space ())
-
-let outcome_entry job (outcome : Core.Supervisor.outcome) =
-  let spec = job.request.Protocol.spec in
-  match outcome with
-  | Core.Supervisor.Tuned r | Core.Supervisor.Replayed r ->
-    let source =
-      match outcome with
-      | Core.Supervisor.Replayed _ -> Protocol.Src_replayed
-      | _ -> Protocol.Src_tuned
-    in
-    `Cacheable
-      {
-        Result_cache.key = job.key;
-        canonical = job.canonical;
-        source;
-        runtime_us = r.Core.Tuner.best_runtime_us;
-        gflops = r.best_gflops;
-        predicted_us =
-          Verify.Audit.predicted_us job.request.Protocol.arch spec r.best_config;
-        trials = r.measurements;
-        config = r.best_config;
-      }
-  | Core.Supervisor.Degraded { config; runtime_us; faults; _ } ->
-    (* A degraded answer is truthful but below full quality (breaker or
-       budget cut the search short): serve it typed, do NOT cache it — a
-       restarted daemon with a fresh budget should tune it properly. *)
-    `Serve_only
-      (Protocol.Result
-         {
-           key = job.key;
-           source = Protocol.Src_degraded;
-           runtime_us;
-           gflops = Core.Tuner.nominal_gflops spec ~runtime_us;
-           trials = faults.Core.Tuner.failed;
-           config;
-         })
-  | Core.Supervisor.Failed cause ->
-    `Failure (Protocol.Error (Protocol.Failed (Core.Supervisor.cause_to_string cause)))
+  let req = job.request and s = t.settings in
+  Resolver.tune t.session ~canonical:job.canonical ~seed:s.seed ~budget:s.budget_trials
+    ?faults:s.faults ?journal_dir:s.journal_dir ~pruned:req.Protocol.pruned req.arch
+    req.spec req.algorithm
 
 let answer_waiters t out job response =
   (* Every waiter — including ones that joined by coalescing — gets the one
      shared answer; failures propagate to all of them identically. *)
   List.iter (fun client -> deliver t out client response) (List.rev job.waiters)
 
-(* The loop half: count, classify, audit, cache, answer. *)
+(* The loop half: count, classify, cache, answer. *)
 let complete t out job tuned =
+  let failed msg =
+    t.c <- { t.c with tune_failures = t.c.tune_failures + 1 };
+    Protocol.Error (Protocol.Failed msg)
+  in
   let response =
     match tuned with
-    | No_domain msg ->
+    | Ok (Core.Supervisor.Failed (Core.Supervisor.Empty_domain msg)) ->
       t.c <- { t.c with domain_errors = t.c.domain_errors + 1 };
       Protocol.Error (Protocol.Domain msg)
-    | Crashed msg ->
-      t.c <-
-        { t.c with tunes_run = t.c.tunes_run + 1; tune_failures = t.c.tune_failures + 1 };
-      Protocol.Error (Protocol.Failed msg)
-    | Outcome o -> begin
+    | Error crash ->
       t.c <- { t.c with tunes_run = t.c.tunes_run + 1 };
-      match outcome_entry job o with
-      | `Cacheable entry ->
-        (* Audit after tuning, before the entry can reach disk or another
-           client: a fresh result that fails its own invariants (it should
-           not happen — the tuner only emits domain members and the noise
-           model is bounded) is served to this job's waiters as the best
-           truth available, but never cached. *)
-        let cacheable =
-          (not t.settings.audit)
-          ||
-          (t.post_audits <- t.post_audits + 1;
-           match
-             Verify.Audit.check ~key:entry.Result_cache.key
-               ~gflops:entry.gflops ~predicted_us:entry.predicted_us
-               ~canonical:entry.canonical ~config:entry.config
-               ~runtime_us:entry.runtime_us ()
-           with
-           | Verify.Audit.Ok -> true
-           | Verify.Audit.Suspect reasons ->
-             t.post_rejects <- t.post_rejects + 1;
-             Util.Log.warn_oncef ~key:("post-tune-audit:" ^ entry.key)
-               "warning: post-tune audit rejected %s (%s); serving uncached\n%!" entry.key
-               (String.concat "," (List.map Verify.Audit.reason_token reasons));
-             false)
+      failed crash
+    | Ok o -> (
+      t.c <- { t.c with tunes_run = t.c.tunes_run + 1 };
+      let { Protocol.arch; spec; _ } = job.request in
+      match o with
+      | Core.Supervisor.Tuned r | Core.Supervisor.Replayed r ->
+        let source =
+          match o with
+          | Core.Supervisor.Replayed _ -> Protocol.Src_replayed
+          | _ -> Protocol.Src_tuned
         in
-        if cacheable then Result_cache.put t.cache entry;
+        let entry = Resolver.entry ~canonical:job.canonical ~source arch spec r in
+        (* An audited cache refuses a result that fails its own invariants;
+           the waiters are still served it, as the best truth available. *)
+        Result_cache.put t.cache entry;
         entry_response ~cached:false entry
-      | `Serve_only response -> response
-      | `Failure response ->
-        t.c <- { t.c with tune_failures = t.c.tune_failures + 1 };
-        response
-    end
+      | Core.Supervisor.Degraded { config; runtime_us; faults; _ } ->
+        (* A degraded answer is truthful but below full quality (breaker or
+           budget cut the search short): serve it typed, do NOT cache it — a
+           restarted daemon with a fresh budget should tune it properly. *)
+        Protocol.Result
+          {
+            key = job.key;
+            source = Protocol.Src_degraded;
+            runtime_us;
+            gflops = Core.Tuner.nominal_gflops spec ~runtime_us;
+            trials = faults.Core.Tuner.failed;
+            config;
+          }
+      | Core.Supervisor.Failed cause -> failed (Core.Supervisor.cause_to_string cause))
   in
   answer_waiters t out job response
 
@@ -401,7 +329,7 @@ let launch t job =
         (* A tune must never take the service down: an unexpected failure
            (journal I/O, journal salvage, ...) becomes a typed error for
            this job's waiters and the daemon keeps serving. *)
-        try tune_job t job with exn -> Crashed (Printexc.to_string exn)
+        try Ok (tune_job t job) with exn -> Error (Printexc.to_string exn)
       in
       Mutex.protect t.lock (fun () ->
           slot.result <- Some result;

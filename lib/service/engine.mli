@@ -25,13 +25,14 @@
     tunes on another domain so cache hits, PING and STATS keep answering
     while a tune runs.
 
-    Each tune has a worker half — [Core.Search_space.make], the supervised
-    tune and its journal — which is all the executor runs, and which
-    touches no engine state but the supervision session.  Its loop half —
-    counters, outcome classification, the post-tune audit, the cache write
-    and the answers — runs inside {!step}.  The engine is otherwise not
-    thread-safe: call everything but the executor's work from one
-    domain. *)
+    Each tune has a worker half — {!Resolver.tune}: the search space, the
+    supervised tune and its journal, the same path the fleet's runner
+    takes — which is all the executor runs, and which touches no engine
+    state but the supervision session.  Its loop half — counters, outcome
+    classification, the cache write ({!Result_cache.put}, which audits a
+    fresh result on an audited cache) and the answers — runs inside
+    {!step}.  The engine is otherwise not thread-safe: call everything but
+    the executor's work from one domain. *)
 
 type settings = {
   budget_trials : int;  (** per-tune measurement budget *)
@@ -46,10 +47,11 @@ type settings = {
   max_pending : int;  (** distinct queued tunes beyond which requests BUSY *)
   retry_after_s : int;  (** the hint sent with BUSY *)
   audit : bool;
-      (** audit every trust boundary through [Verify.Audit]: cache records
-          at load and before each hit (rejects quarantined, the key tunes
-          afresh), and every fresh result after tuning (a reject is served
-          to its waiters but never cached) *)
+      (** load the cache audited, so every trust boundary goes through
+          [Verify.Audit]: cache records at load and before each hit
+          (rejects quarantined, the key tunes afresh), and every fresh
+          result at {!Result_cache.put} (a reject is served to its waiters
+          but never cached) *)
   scrub_per_step : int;
       (** cache entries re-audited per {!step} tick (0 = no background
           scrubbing) *)
@@ -165,12 +167,14 @@ val record_load_shed : t -> unit
 
 val stats : t -> (string * string) list
 (** The [STATS] reply payload: counters plus cache entries / salvage
-    losses / stale records, the audit ledger ([audited] checks performed,
-    [quarantined] records sidelined, [scrubbed] entries swept,
-    [audit_rejected] post-tune rejects), the gauges [queued] (distinct
-    tunes waiting) and [running] (0 or 1), and the draining flag. *)
+    losses / stale records, the cache's audit ledger ([audited] checks
+    performed, [quarantined] records sidelined, [scrubbed] entries swept,
+    [audit_rejected] fresh results refused at put), the gauges [queued]
+    (distinct tunes waiting) and [running] (0 or 1), and the draining
+    flag. *)
 
 val health : t -> Core.Supervisor.report
 (** The supervision session's report (budget accounting, per-task
-    outcomes) — what the daemon prints on shutdown.  The worker half writes
-    the session, so read it only while no tune is running. *)
+    outcomes, each task named by its canonical request string) — what the
+    daemon prints on shutdown.  The worker half writes the session, so
+    read it only while no tune is running. *)

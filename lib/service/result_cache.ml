@@ -34,6 +34,7 @@ type t = {
   mutable dropped : int;
   mutable stale : int;
   mutable audited : int;
+  mutable rejected : int;
   mutable quarantined : int;
   mutable scrubbed : int;
   mutable scrub_cursor : string list;  (* keys left in the current pass *)
@@ -122,6 +123,7 @@ let load ?(audit = false) ~generation path =
       dropped = Util.Durable.dropped outcome;
       stale = 0;
       audited = 0;
+      rejected = 0;
       quarantined = 0;
       scrubbed = 0;
       scrub_cursor = [];
@@ -170,10 +172,28 @@ let find t ~canonical =
     end
   | Some _ (* hash collision: a miss, never the wrong layer's answer *) | None -> None
 
+(* Every writer crosses here, so an audited cache checks each fresh result
+   once before it can reach disk or a later hit.  A reject (it should not
+   happen: the tuner only emits domain members and the noise model is
+   bounded) is the writer's own result, not stored bytes, so it is counted
+   and warned about rather than quarantined. *)
 let put t e =
   let line = to_line ~generation:t.generation e in
-  Hashtbl.replace t.table e.key e;
-  Util.Durable.append ~kind t.path line
+  let verdict =
+    if not t.audit then None
+    else begin
+      t.audited <- t.audited + 1;
+      reason_of_verdict (audit_entry e)
+    end
+  in
+  match verdict with
+  | None ->
+    Hashtbl.replace t.table e.key e;
+    Util.Durable.append ~kind t.path line
+  | Some reason ->
+    t.rejected <- t.rejected + 1;
+    Util.Log.warn_oncef ~key:("put-audit:" ^ e.key)
+      "warning: audit rejected a fresh result for %s (%s); not cached\n%!" e.key reason
 
 (* --- scrubbing ----------------------------------------------------------- *)
 
@@ -234,5 +254,6 @@ let entries t = Hashtbl.length t.table
 let dropped t = t.dropped
 let stale t = t.stale
 let audited (t : t) = t.audited
+let rejected (t : t) = t.rejected
 let quarantined (t : t) = t.quarantined
 let scrubbed (t : t) = t.scrubbed

@@ -16,11 +16,11 @@
     Integrity goes one trust level further: framing CRCs cannot see a
     record whose bytes were mutated and re-framed ([Util.Fs_faults] can
     manufacture exactly that), so an {e audited} cache re-derives every
-    record's analytic claims through [Verify.Audit] at load time and again
-    before every hit.  Rejected records are appended to a durable
-    {!Quarantine} sidecar with their typed reasons — never silently
-    dropped — and their keys simply miss, so a poisoned entry costs one
-    fresh tune, not one wrong answer.
+    record's analytic claims through [Verify.Audit] at load time, again
+    before every hit, and for every fresh result at {!put}.  Rejected
+    records are appended to a durable {!Quarantine} sidecar with their
+    typed reasons — never silently dropped — and their keys simply miss,
+    so a poisoned entry costs one fresh tune, not one wrong answer.
 
     Staleness: every record carries the {e generation} — an opaque string
     naming the search settings (budget, seed, policy) that produced it.
@@ -58,9 +58,10 @@ val load : ?audit:bool -> generation:string -> string -> t
     crash-replay can legitimately duplicate).
 
     With [audit = true] (default false) every live record is checked
-    through [Verify.Audit] (strict policy) before admission and again on
-    every {!find} hit; rejects go to the {!Quarantine} sidecar and the file
-    is immediately compacted so the next load is clean.  Raises
+    through [Verify.Audit] (strict policy) before admission, again on
+    every {!find} hit, and every entry before {!put} stores it; load and
+    hit rejects go to the {!Quarantine} sidecar and the file is
+    immediately compacted so the next load is clean.  Raises
     [Invalid_argument] if [generation] contains tabs or newlines. *)
 
 val generation : t -> string
@@ -80,7 +81,11 @@ val find : t -> canonical:string -> entry option
 val put : t -> entry -> unit
 (** Inserts/overwrites in memory and appends one durable record.  Entries
     whose [canonical] or [config] fail to round-trip are rejected with
-    [Invalid_argument] (the daemon only constructs well-formed entries). *)
+    [Invalid_argument] (the daemon only constructs well-formed entries).
+    On an audited cache the entry is audited first: a suspect one is
+    counted in {!rejected}, warned about once, and neither stored nor
+    appended (the caller may still serve it — it is the truth it has —
+    but no later hit will). *)
 
 val flush : t -> unit
 (** Atomic compaction: rewrites the file as one snapshot holding exactly
@@ -113,7 +118,10 @@ val stale : t -> int
 (** Records of other generations (or the old v1 schema) ignored at load. *)
 
 val audited : t -> int
-(** Audit checks performed (load + hits + scrubbing). *)
+(** Audit checks performed (load + hits + puts + scrubbing). *)
+
+val rejected : t -> int
+(** Fresh entries the audit refused at {!put}. *)
 
 val quarantined : t -> int
 (** Records rejected by the audit and appended to the sidecar. *)

@@ -174,6 +174,8 @@ let test_runner_cache_roundtrip () =
   let layer = Cnn.Layer.make "r" (Spec.square ~c_in:8 ~size:12 ~c_out:8 ~k:1 ()) in
   let cache = Service.Result_cache.load ~audit:true ~generation path in
   let fresh = Cnn.Runner.time_layer ~cache ~max_measurements:60 arch layer in
+  Alcotest.(check int) "the write-back was audited once" fresh.live
+    (Service.Result_cache.audited cache);
   Alcotest.(check int) "tuned live" 1 fresh.live;
   Alcotest.(check bool) "live result not replayed" false fresh.ours_replayed;
   Alcotest.(check int) "written back once" 1 (Service.Result_cache.entries cache);
@@ -223,6 +225,38 @@ let test_memo_key_settings () =
   Alcotest.(check bool) "faults tune differently" false (same cold_long cold_faulty);
   Alcotest.(check bool) "fault profile not served the clean result" true
     (same faulty cold_faulty);
+  Cnn.Runner.clear_cache ()
+
+(* A tune without supervision whose every trial fails (no launch fits a
+   zero shared-memory budget) degrades to a valid analytic configuration
+   instead of raising, and the degraded answer never reaches the cache. *)
+let test_unsupervised_degrades () =
+  Cnn.Runner.clear_cache ();
+  let spec = Spec.square ~c_in:16 ~size:14 ~c_out:16 ~k:3 ~pad:1 () in
+  let faults = { Gpu_sim.Faults.none with launch_shmem_frac = 0.0 } in
+  let r =
+    Cnn.Runner.tuned_runtime ~faults ~max_measurements:20 arch spec
+      Core.Config.Direct_dataflow
+  in
+  (match r.stop with
+  | Core.Tuner.Breaker_tripped _ -> ()
+  | stop ->
+    Alcotest.failf "expected a degraded stop, got %s" (Core.Tuner.stop_reason_to_string stop));
+  let space = Core.Search_space.make arch spec Core.Config.Direct_dataflow in
+  Alcotest.(check bool) "degraded config is a domain member" true
+    (Core.Search_space.validate space r.best_config = Ok ());
+  Cnn.Runner.clear_cache ();
+  let path = temp_cache "degraded" in
+  let cache = Service.Result_cache.load ~audit:true ~generation:"degraded-test" path in
+  let t =
+    Cnn.Runner.time_layer ~cache ~faults ~max_measurements:20 arch
+      (Cnn.Layer.make "d" spec)
+  in
+  Alcotest.(check int) "every candidate tuned" (List.length (Cnn.Runner.candidates t.layer))
+    t.live;
+  Alcotest.(check int) "degraded answers are not cached" 0
+    (Service.Result_cache.entries cache);
+  remove_cache path;
   Cnn.Runner.clear_cache ()
 
 let test_figure12_shape () =
@@ -371,5 +405,7 @@ let () =
           Alcotest.test_case "prime/find result" `Quick test_prime_and_find_result;
           Alcotest.test_case "memo key carries budget and faults" `Slow
             test_memo_key_settings;
+          Alcotest.test_case "unsupervised tune degrades when every trial fails" `Quick
+            test_unsupervised_degrades;
         ] );
     ]

@@ -272,6 +272,28 @@ let test_cache_rejects_forged_key () =
     (Service.Result_cache.find cache' ~canonical:"spec-forged" = None);
   Sys.remove path
 
+(* The audit at the cache boundary: an audited cache refuses a fresh entry
+   that fails its invariants ("spec-one" is no canonical key, so its domain
+   cannot be rebuilt) — nothing stored, nothing appended, nothing
+   quarantined, since the bytes never reached the cache — while a plain
+   cache stores it. *)
+let test_cache_audited_put_refuses_suspect () =
+  let path = temp_cache () in
+  let audited = Service.Result_cache.load ~audit:true ~generation:"g1" path in
+  Service.Result_cache.put audited (sample_entry "spec-one");
+  Alcotest.(check bool) "refused entry misses" true
+    (Service.Result_cache.find audited ~canonical:"spec-one" = None);
+  Alcotest.(check int) "nothing appended" 0
+    (Service.Result_cache.entries (Service.Result_cache.load ~generation:"g1" path));
+  Alcotest.(check bool) "no quarantine sidecar" false
+    (Sys.file_exists (Service.Result_cache.quarantine_path audited));
+  Alcotest.(check int) "counted as rejected" 1 (Service.Result_cache.rejected audited);
+  let plain = Service.Result_cache.load ~generation:"g1" path in
+  Service.Result_cache.put plain (sample_entry "spec-one");
+  Alcotest.(check bool) "a plain cache stores it" true
+    (Service.Result_cache.find plain ~canonical:"spec-one" <> None);
+  cleanup path
+
 let test_cache_corruption_salvage () =
   let rounds = if deep then 200 else 25 in
   let canonicals = [ "alpha"; "beta"; "gamma" ] in
@@ -485,19 +507,31 @@ let test_protocol_lines_through_engine () =
   Alcotest.(check int) "parse error counted" 1 (counters outcome).parse_errors;
   cleanup cache
 
+(* The wire answers, pinned: tuned, coalesced, PING and STATS (its audit
+   ledger included) must stay byte-identical across refactors of the
+   engine, not only between two runs of one build. *)
 let test_sim_deterministic () =
   let script =
     Service.Sim.
       [
         Connect 1; Connect 2;
         Send (1, line_a); Send (2, line_a); Send (2, "PING");
-        Step; Send (1, line_b); Run_until_idle; Drain;
+        Step; Send (1, line_b); Run_until_idle; Send (1, "STATS"); Drain;
       ]
   in
   let c1 = temp_cache () and c2 = temp_cache () in
   let o1 = run_sim ~cache:c1 script and o2 = run_sim ~cache:c2 script in
   Alcotest.(check (list (pair int string))) "scripted runs are byte-identical"
     o1.responses o2.responses;
+  Alcotest.(check (list (pair int string))) "the pinned transcript"
+    [
+      (2, "PONG");
+      (1, "OK key=415dbe0c8f2fc07f source=tuned runtime_us=3.961261 gflops=2.62 trials=16 config=d|CHW|3,2,1|3,2,1|2|4|1");
+      (2, "OK key=415dbe0c8f2fc07f source=tuned runtime_us=3.961261 gflops=2.62 trials=16 config=d|CHW|3,2,1|3,2,1|2|4|1");
+      (1, "OK key=8dfe25a0c58dd813 source=tuned runtime_us=3.937455 gflops=1.04 trials=16 config=d|CHW|1,2,4|1,2,4|1|2|0");
+      (1, "STATS entries=2 hits=0 misses=3 coalesced=1 busy=0 tunes_run=2 parse_errors=0 domain_errors=0 tune_failures=0 abandoned=0 deadline_shed=0 salvage_dropped=0 stale_dropped=0 audited=2 quarantined=0 scrubbed=0 audit_rejected=0 queued=0 running=0 draining=false");
+    ]
+    o1.responses;
   Sys.remove c1;
   Sys.remove c2
 
@@ -591,6 +625,12 @@ let test_degraded_not_cached () =
         assert_config_valid line (spec_of_line line_a))
       [ first; second ]
   | t -> Alcotest.failf "expected two responses, got %d" (List.length t));
+  let degraded =
+    "OK key=415dbe0c8f2fc07f source=degraded runtime_us=4.053719 gflops=2.56 trials=0 config=d|CHW|4,2,1|4,2,1|4|2|0"
+  in
+  Alcotest.(check (list (pair int string))) "the pinned transcript"
+    [ (1, degraded); (1, degraded) ]
+    outcome.responses;
   Alcotest.(check int) "degraded answers never enter the cache" 0
     (Service.Result_cache.entries (Service.Engine.cache outcome.engine));
   Alcotest.(check int) "so the repeat tuned again" 2 (counters outcome).tunes_run;
@@ -599,14 +639,9 @@ let test_degraded_not_cached () =
 let test_domain_error_typed () =
   let cache = temp_cache () in
   (* Winograd on a strided layer: Search_space.make rejects the domain. *)
+  let line = "TUNE cin=4 size=8 cout=4 k=3 stride=2 algo=winograd e=2" in
   let outcome =
-    run_sim ~cache
-      Service.Sim.
-        [
-          Connect 1;
-          Send (1, "TUNE cin=4 size=8 cout=4 k=3 stride=2 algo=winograd e=2");
-          Run_until_idle;
-        ]
+    run_sim ~cache Service.Sim.[ Connect 1; Send (1, line); Run_until_idle ]
   in
   (match Service.Sim.transcript_of 1 outcome with
   | [ line ] -> (
@@ -617,8 +652,12 @@ let test_domain_error_typed () =
   Alcotest.(check int) "counted" 1 (counters outcome).domain_errors;
   (* The dead-end surfaces in the supervision health report too. *)
   let report = Service.Engine.health outcome.engine in
-  Alcotest.(check int) "reported to the supervisor" 1
-    (List.length report.Core.Supervisor.tasks);
+  (match report.Core.Supervisor.tasks with
+  | [ task ] ->
+    Alcotest.(check string) "named by its canonical request"
+      (Service.Protocol.canonical_of_tune (spec_of_line line))
+      task.key
+  | t -> Alcotest.failf "expected one supervised task, got %d" (List.length t));
   cleanup cache
 
 (* A journal records only config -> outcome, so it must be named by every
@@ -1634,6 +1673,8 @@ let () =
           Alcotest.test_case "forged keys ignored" `Quick test_cache_rejects_forged_key;
           Alcotest.test_case "corruption salvages, never lies" `Quick
             test_cache_corruption_salvage;
+          Alcotest.test_case "audited put refuses a suspect entry" `Quick
+            test_cache_audited_put_refuses_suspect;
         ] );
       ( "engine",
         [
