@@ -3,7 +3,7 @@
 type recorder = {
   space : Search_space.t;
   seed : int;
-  measured : (string, float) Hashtbl.t;
+  measured : float Config.Tbl.t;
   mutable best : (Config.t * float) option;
   mutable count : int;
   mutable converged_at : int;
@@ -11,17 +11,16 @@ type recorder = {
 }
 
 let recorder ~space ~seed =
-  { space; seed; measured = Hashtbl.create 128; best = None; count = 0; converged_at = 0;
+  { space; seed; measured = Config.Tbl.create 128; best = None; count = 0; converged_at = 0;
     history = [] }
 
 let measure rec_ cfg =
-  let key = Config.to_string cfg in
-  match Hashtbl.find_opt rec_.measured key with
+  match Config.Tbl.find_opt rec_.measured cfg with
   | Some runtime -> runtime
   | None ->
     let arch = Search_space.arch rec_.space and spec = Search_space.spec rec_.space in
     let runtime = Tuner.measure_config ~seed:rec_.seed arch spec cfg in
-    Hashtbl.add rec_.measured key runtime;
+    Config.Tbl.add rec_.measured cfg runtime;
     rec_.count <- rec_.count + 1;
     (match rec_.best with
     | Some (_, best) when best <= runtime -> ()

@@ -27,6 +27,40 @@ let to_string t =
     t.tile_x t.tile_y t.tile_z t.threads_x t.threads_y t.threads_z t.unroll t.vector_width
     t.double_buffer
 
+let layout_index = function Tensor.Layout.CHW -> 0 | CWH -> 1 | HWC -> 2
+
+(* One int per algorithm, distinct for every [e] and never 0 for Winograd. *)
+let algorithm_code = function Direct_dataflow -> 0 | Winograd_dataflow e -> (2 * e) + 1
+
+let equal a b =
+  a.tile_x = b.tile_x && a.tile_y = b.tile_y && a.tile_z = b.tile_z
+  && a.threads_x = b.threads_x && a.threads_y = b.threads_y && a.threads_z = b.threads_z
+  && a.unroll = b.unroll && a.vector_width = b.vector_width
+  && Bool.equal a.double_buffer b.double_buffer
+  && layout_index a.layout = layout_index b.layout
+  && algorithm_code a.algorithm = algorithm_code b.algorithm
+
+(* Every field folds in through an odd multiplier and the finish is a chain
+   of bijections (xor-shifts and odd multiplies), so configs that differ in
+   any one field always hash apart.  [Hashtbl.hash] reads only ten
+   meaningful words and would drop [double_buffer], or Winograd's [e]. *)
+let hash t =
+  let mix h x = (h * 0x100000001b3) + x in
+  let h = mix (algorithm_code t.algorithm) (layout_index t.layout) in
+  let h = mix (mix (mix h t.tile_x) t.tile_y) t.tile_z in
+  let h = mix (mix (mix h t.threads_x) t.threads_y) t.threads_z in
+  let h = mix (mix (mix h t.unroll) t.vector_width) (Bool.to_int t.double_buffer) in
+  let h = (h lxor (h lsr 31)) * 0x3fb5d329728ea185 in
+  let h = (h lxor (h lsr 27)) * 0x01dadef4bc2dd44d in
+  h lxor (h lsr 33)
+
+module Tbl = Hashtbl.Make (struct
+  type nonrec t = t
+
+  let equal = equal
+  let hash = hash
+end)
+
 let ceil_div a b = (a + b - 1) / b
 
 let working_set_elems (spec : Conv.Conv_spec.t) t =
@@ -55,8 +89,6 @@ let input_row_width (spec : Conv.Conv_spec.t) t =
   match t.algorithm with
   | Direct_dataflow -> Conv.Tiled_direct.input_tile_w spec t.tile_x
   | Winograd_dataflow _ -> t.tile_x + spec.k_w - 1
-
-let layout_index = function Tensor.Layout.CHW -> 0 | CWH -> 1 | HWC -> 2
 
 let coalescing (spec : Conv.Conv_spec.t) t =
   let base = 0.45 in

@@ -33,6 +33,14 @@ val threads : t -> int
 val algorithm_to_string : algorithm -> string
 val to_string : t -> string
 
+val hash : t -> int
+(** Covers every field, Winograd's [e] included: configs that differ in any
+    one field hash apart.  Allocates nothing. *)
+
+module Tbl : Hashtbl.S with type key = t
+(** Tables keyed by the record itself, on field-wise equality and {!hash}:
+    the tuner's and the explorer's tables never print a config. *)
+
 val shmem_bytes : Conv.Conv_spec.t -> t -> int
 (** Shared memory the configuration allocates: the dataflow working set (4
     bytes per element), with the stage buffers doubled under double

@@ -6,46 +6,39 @@ let explore ?(n_walks = 12) ?(walk_len = 40) ?(escape_probability = 0.05)
      independent stream [create (base + w)], so walks never share rng state
      and one walk's length cannot shift another's draws. *)
   let base_seed = Int64.to_int (Util.Rng.int64 rng) in
-  let run_walk walk =
+  (* The model is fixed for the whole explore, so a config's predicted cost
+     is the same wherever a walk meets it: price each distinct config once.
+     The table's keys are also every config the walks visited. *)
+  let prices = Config.Tbl.create 256 in
+  let price cfg =
+    match Config.Tbl.find prices cfg with
+    | cost -> cost
+    | exception Not_found ->
+      let cost = Cost_model.predict_runtime_us model cfg in
+      Config.Tbl.add prices cfg cost;
+      cost
+  in
+  for walk = 0 to n_walks - 1 do
     let rng = Util.Rng.create (base_seed + walk) in
-    let visited = Hashtbl.create 32 in
-    let remember cfg cost =
-      let key = Config.to_string cfg in
-      match Hashtbl.find_opt visited key with
-      | Some (_, best) when best <= cost -> ()
-      | _ -> Hashtbl.replace visited key (cfg, cost)
+    let current =
+      ref (if walk < Array.length starts then starts.(walk) else Search_space.sample space rng)
     in
-    let start =
-      if walk < Array.length starts then starts.(walk) else Search_space.sample space rng
-    in
-    let current = ref start in
-    let current_cost = ref (Cost_model.predict_runtime_us model !current) in
-    remember !current !current_cost;
+    let current_cost = ref (price !current) in
     for _ = 1 to walk_len do
       let candidate = Search_space.neighbor space rng !current in
-      let cost = Cost_model.predict_runtime_us model candidate in
+      let cost = price candidate in
       if cost < !current_cost || Util.Rng.float rng 1.0 < escape_probability then begin
         current := candidate;
         current_cost := cost
-      end;
-      remember candidate cost
-    done;
-    visited
-  in
-  let per_walk = Array.init n_walks run_walk in
-  (* Merge the per-walk tables in walk order, then break cost ties on the
-     config key: the ranking never depends on hash-table iteration order. *)
-  let results = Hashtbl.create 64 in
-  Array.iter
-    (fun visited ->
-      Hashtbl.iter
-        (fun key ((_, cost) as entry) ->
-          match Hashtbl.find_opt results key with
-          | Some (_, best) when best <= cost -> ()
-          | _ -> Hashtbl.replace results key entry)
-        visited)
-    per_walk;
-  Hashtbl.fold (fun key (cfg, cost) acc -> (key, cfg, cost) :: acc) results []
-  |> List.sort (fun (ka, _, a) (kb, _, b) ->
-         match compare a b with 0 -> compare ka kb | c -> c)
-  |> List.filter_map (fun (_, cfg, _) -> if avoid cfg then None else Some cfg)
+      end
+    done
+  done;
+  (* Rank by cost, then break ties on the config key, so the ranking never
+     depends on table order.  A key is printed only for a config whose cost
+     ties another's. *)
+  Config.Tbl.fold (fun cfg cost acc -> (cost, lazy (Config.to_string cfg), cfg) :: acc) prices []
+  |> List.sort (fun (a, key_a, _) (b, key_b, _) ->
+         match Float.compare a b with
+         | 0 -> String.compare (Lazy.force key_a) (Lazy.force key_b)
+         | c -> c)
+  |> List.filter_map (fun (_, _, cfg) -> if avoid cfg then None else Some cfg)

@@ -109,8 +109,8 @@ let tune_outcome ?(seed = 0) ?(batch_size = 16) ?(patience = 8) ?(max_measuremen
   let arch = Search_space.arch space and spec = Search_space.spec space in
   let rng = Util.Rng.create (seed + 17) in
   let model = Cost_model.create spec in
-  let measured = Hashtbl.create 128 in
-  let failed_keys = Hashtbl.create 16 in
+  let measured = Config.Tbl.create 128 in
+  let failed_keys = Config.Tbl.create 16 in
   let best = ref None in
   let history = ref [] in
   let count = ref 0 in
@@ -132,19 +132,18 @@ let tune_outcome ?(seed = 0) ?(batch_size = 16) ?(patience = 8) ?(max_measuremen
      the oracle is only consulted for configs past the kill point.
      [recover] salvages the longest valid prefix of a torn or corrupted
      journal and repairs the file so our appends extend clean state; the
-     loss is surfaced in [journal_dropped], never silently discarded. *)
-  let journal_tbl =
+     loss is surfaced in [journal_dropped], never silently discarded.
+     The journal keys a config by its compact encoding, which [replay] and
+     [journal_append] force only when a journal is open. *)
+  let replay, journal_append =
     match journal with
-    | None -> Hashtbl.create 0
+    | None -> ((fun _ -> None), fun _ _ -> ())
     | Some path ->
       let jr = Tune_journal.recover path in
       stats := { !stats with journal_dropped = jr.dropped };
-      Tune_journal.to_table jr.entries
-  in
-  let journal_append key outcome =
-    match journal with
-    | None -> ()
-    | Some path -> Tune_journal.append path { Tune_journal.key; outcome }
+      let table = Tune_journal.to_table jr.entries in
+      ( (fun key -> Hashtbl.find_opt table (Lazy.force key)),
+        fun key outcome -> Tune_journal.append path { Tune_journal.key = Lazy.force key; outcome } )
   in
   (* Top measured configurations, best first — the explorer's walk seeds. *)
   let leaders : (Config.t * float) list ref = ref [] in
@@ -163,7 +162,7 @@ let tune_outcome ?(seed = 0) ?(batch_size = 16) ?(patience = 8) ?(max_measuremen
   in
   let record_failure cfg (failure : Gpu_sim.Measure.failure) =
     incr consec_failures;
-    Hashtbl.replace failed_keys (Config.to_string cfg) ();
+    Config.Tbl.replace failed_keys cfg ();
     Cost_model.add_failure model cfg;
     let s = !stats in
     stats :=
@@ -194,24 +193,25 @@ let tune_outcome ?(seed = 0) ?(batch_size = 16) ?(patience = 8) ?(max_measuremen
       }
   in
   (* Measure a batch in batch order, skipping configs already attempted
-     (earlier in this batch or before).  A journal hit folds as a replay; a
-     live config is measured, journalled and folded.  A failed config does
-     not abort the batch: its siblings' results still fold in.  The deadline
-     gate is read once per batch: replays charge no virtual time, so this is
-     the clock the first live measurement would see, and a batch is either
-     measured whole or skipped whole.  A skipped config is never sampled,
-     never journalled, consumes no trial and stays unmarked, so a resumed
-     run with a larger budget can still measure it. *)
+     (earlier in this batch or before).  The [measured] and [failed_keys]
+     sets key on the record, so without a journal no config is ever
+     printed.  A journal hit folds as a replay; a live config is measured,
+     journalled and folded.  A failed config does not abort the batch: its
+     siblings' results still fold in.  The deadline gate is read once per
+     batch: replays charge no virtual time, so this is the clock the first
+     live measurement would see, and a batch is either measured whole or
+     skipped whole.  A skipped config is never sampled, never journalled,
+     consumes no trial and stays unmarked, so a resumed run with a larger
+     budget can still measure it. *)
   let measure_batch cfgs =
     let gate_open = !stats.elapsed_us < deadline_us in
     List.iter
       (fun cfg ->
-        let key = Config.to_string cfg in
-        if not (Hashtbl.mem measured key) then
-          let compact = Config.to_compact cfg in
-          match Hashtbl.find_opt journal_tbl compact with
+        if not (Config.Tbl.mem measured cfg) then
+          let compact = lazy (Config.to_compact cfg) in
+          match replay compact with
           | Some outcome -> begin
-            Hashtbl.add measured key ();
+            Config.Tbl.add measured cfg ();
             incr trials;
             stats := { !stats with replayed = !stats.replayed + 1 };
             match outcome with
@@ -220,7 +220,7 @@ let tune_outcome ?(seed = 0) ?(batch_size = 16) ?(patience = 8) ?(max_measuremen
               record_failure cfg (Gpu_sim.Measure.Launch_failure reason)
           end
           | None when gate_open -> begin
-            Hashtbl.add measured key ();
+            Config.Tbl.add measured cfg ();
             let res, attempt_log =
               measure_config_robust ~seed ?policy:measure_policy ~faults arch spec cfg
             in
@@ -257,12 +257,10 @@ let tune_outcome ?(seed = 0) ?(batch_size = 16) ?(patience = 8) ?(max_measuremen
     in
     let candidates =
       Explorer.explore
-        ~avoid:(fun c -> Hashtbl.mem failed_keys (Config.to_string c))
+        ~avoid:(Config.Tbl.mem failed_keys)
         ~space ~model ~rng ~starts ()
     in
-    let fresh =
-      List.filter (fun c -> not (Hashtbl.mem measured (Config.to_string c))) candidates
-    in
+    let fresh = List.filter (fun c -> not (Config.Tbl.mem measured c)) candidates in
     let room = min batch_size (max_measurements - !trials) in
     (* Epsilon-greedy batch make-up: a couple of slots per batch go to
        uniform random samples so one misleading model fit cannot lock the

@@ -26,9 +26,14 @@ let train ?rng params data =
      the gradients change between rounds. *)
   let sorted = Dataset.presort data in
   let trees = ref [] in
+  (* One gradient pair per booster, refilled every round: a tree reads them
+     only while it is fitted. *)
+  let grad = Array.make n 0.0 and hess = Array.make n 1.0 in
   for _ = 1 to params.rounds do
-    let grad = Array.init n (fun i -> predictions.(i) -. targets.(i)) in
-    let hess = Array.make n 1.0 in
+    for i = 0 to n - 1 do
+      grad.(i) <- predictions.(i) -. targets.(i);
+      hess.(i) <- 1.0
+    done;
     (* Row subsampling: zeroing a sample's hessian and gradient removes it
        from every split statistic, which is equivalent to dropping the row. *)
     (match rng with

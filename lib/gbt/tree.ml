@@ -57,13 +57,16 @@ let fit params sorted ~grad ~hess =
     done;
     Array.blit scratch lo arr !l (!r - lo)
   in
-  (* Best split of segment [lo, hi) on feature [f] as (gain, number of
-     samples going left), scanning prefix sums in the feature's order. *)
+  (* Best split of segment [lo, hi) on feature [f], scanning prefix sums in
+     the feature's order: the number of samples going left, or 0 for none.
+     The split's gain lands in [found_gain]'s one unboxed slot, so the
+     search boxes neither a float nor a tuple. *)
+  let found_gain = [| 0.0 |] in
   let best_on_feature f lo hi =
     let col = columns.(f) and order = orders.(f) in
     (* Equal ends of a sorted segment mean one value throughout, so no
        candidate; a NaN end compares unequal and gets the full scan. *)
-    if hi - lo < 2 || col.(order.(lo)) = col.(order.(hi - 1)) then None
+    if hi - lo < 2 || col.(order.(lo)) = col.(order.(hi - 1)) then 0
     else begin
       let g_total = ref 0.0 and h_total = ref 0.0 in
       for k = lo to hi - 1 do
@@ -95,7 +98,11 @@ let fit params sorted ~grad ~hess =
           end
         end
       done;
-      if !best_k >= 0 && !best_gain > 0.0 then Some (!best_gain, !best_k + 1 - lo) else None
+      if !best_k >= 0 && !best_gain > 0.0 then begin
+        found_gain.(0) <- !best_gain;
+        !best_k + 1 - lo
+      end
+      else 0
     end
   in
   let rec build lo hi depth =
@@ -108,20 +115,19 @@ let fit params sorted ~grad ~hess =
     let weight = leaf_weight params !g !h in
     if depth >= params.max_depth || hi - lo < params.min_samples then Leaf weight
     else begin
-      let best = ref None in
+      let feature = ref (-1) and n_left = ref 0 and gain = ref 0.0 in
       for f = 0 to n_features - 1 do
-        match best_on_feature f lo hi with
-        | None -> ()
-        | Some (gain, n_left) -> begin
-          match !best with
-          | Some (best_gain, _, _) when best_gain >= gain -> ()
-          | _ -> best := Some (gain, f, n_left)
+        let k = best_on_feature f lo hi in
+        if k > 0 && (!feature < 0 || not (!gain >= found_gain.(0))) then begin
+          feature := f;
+          n_left := k;
+          gain := found_gain.(0)
         end
       done;
-      match !best with
-      | None -> Leaf weight
-      | Some (_, feature, n_left) ->
-        let mid = lo + n_left and col = columns.(feature) and order = orders.(feature) in
+      if !feature < 0 then Leaf weight
+      else
+        let feature = !feature in
+        let mid = lo + !n_left and col = columns.(feature) and order = orders.(feature) in
         let threshold = (col.(order.(mid - 1)) +. col.(order.(mid))) /. 2.0 in
         for k = lo to hi - 1 do
           Bytes.unsafe_set left (Array.unsafe_get order k) (if k < mid then '\001' else '\000')

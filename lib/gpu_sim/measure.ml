@@ -32,8 +32,6 @@ let runtime_avg_us ?(noise_amplitude = 0.03) ?(seed = 0) ?(repeat = 3) arch k =
   done;
   !total /. float_of_int repeat
 
-let gflops_of_runtime ~flops ~runtime_us = flops /. runtime_us /. 1.0e3
-
 (* ------------------------------------------------------------------ *)
 (* Robust measurement harness: retry, backoff, deadline, aggregation. *)
 

@@ -33,8 +33,6 @@ val runtime_avg_us :
 (** Plain average of [repeat] measurements with independent jitter (default
     3).  The legacy fault-free path: no retries, no outlier rejection. *)
 
-val gflops_of_runtime : flops:float -> runtime_us:float -> float
-
 (** {1 Robust measurement} *)
 
 type fault =

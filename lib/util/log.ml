@@ -8,11 +8,6 @@ let set_level l = Atomic.set current l
 let level () = Atomic.get current
 let set_quiet q = set_level (if q then Quiet else Warn)
 
-let warnf fmt =
-  match Atomic.get current with
-  | Warn -> Printf.eprintf fmt
-  | Quiet -> Printf.ifprintf stderr fmt
-
 (* Per-key deduplication for warnings that would otherwise repeat every time
    a damaged artifact is re-read — e.g. a daemon reloading the same salvaged
    cache file.  Keys are only consumed when a warning would actually print,

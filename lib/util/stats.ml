@@ -71,40 +71,6 @@ let argmin xs =
   done;
   !best
 
-(* Average ranks (1-based): tied values all get the mean of the rank range
-   they span, the convention Spearman's coefficient expects. *)
-let ranks xs =
-  let n = Array.length xs in
-  let idx = Array.init n Fun.id in
-  Array.sort (fun a b -> compare xs.(a) xs.(b)) idx;
-  let r = Array.make n 0.0 in
-  let i = ref 0 in
-  while !i < n do
-    let j = ref !i in
-    while !j + 1 < n && xs.(idx.(!j + 1)) = xs.(idx.(!i)) do
-      incr j
-    done;
-    let avg = (float_of_int (!i + !j) /. 2.0) +. 1.0 in
-    for k = !i to !j do
-      r.(idx.(k)) <- avg
-    done;
-    i := !j + 1
-  done;
-  r
-
-let spearman xs ys =
-  assert (Array.length xs = Array.length ys);
-  let rx = ranks xs and ry = ranks ys in
-  let mx = mean rx and my = mean ry in
-  let num = ref 0.0 and dx2 = ref 0.0 and dy2 = ref 0.0 in
-  for i = 0 to Array.length xs - 1 do
-    let dx = rx.(i) -. mx and dy = ry.(i) -. my in
-    num := !num +. (dx *. dy);
-    dx2 := !dx2 +. (dx *. dx);
-    dy2 := !dy2 +. (dy *. dy)
-  done;
-  if !dx2 = 0.0 || !dy2 = 0.0 then 0.0 else !num /. sqrt (!dx2 *. !dy2)
-
 let rmse xs ys =
   assert (Array.length xs = Array.length ys);
   let n = Array.length xs in

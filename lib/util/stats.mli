@@ -27,9 +27,5 @@ val min_max : float array -> float * float
 val argmin : float array -> int
 (** Index of the smallest sample.  Requires a non-empty array. *)
 
-val spearman : float array -> float array -> float
-(** Spearman rank correlation of two equal-length sample arrays (ties get
-    average ranks); 0 when either array is constant. *)
-
 val rmse : float array -> float array -> float
 (** Root mean squared error between two equal-length sample arrays. *)

@@ -531,24 +531,29 @@ let concurrently lanes f =
     (List.init lanes (fun lane () -> out.(lane) <- Some (f ())));
   Array.map Option.get out
 
-(* An explore keeps all its state local and only reads the space and the
-   model, so explores overlapping on several domains over one shared model
-   must rank exactly as an explore run alone. *)
-let test_explorer_parallel_equals_sequential () =
-  let space = direct_space () in
+(* A model trained a little, so walks actually follow predicted costs. *)
+let explorer_model space =
   let model = Core.Cost_model.create spec_layer in
-  (* Train the model a little so walks actually follow predicted costs. *)
   let train_rng = Util.Rng.create 21 in
   for _ = 1 to 40 do
     let cfg = Core.Search_space.sample space train_rng in
     Core.Cost_model.add_measurement model cfg (Core.Tuner.measure_config arch spec_layer cfg)
   done;
   Core.Cost_model.retrain model;
-  let ranking () =
-    let rng = Util.Rng.create 13 in
-    let starts = [ Core.Search_space.default_config space ] in
-    Core.Explorer.explore ~space ~model ~rng ~starts ()
-  in
+  model
+
+let explorer_ranking space model =
+  let rng = Util.Rng.create 13 in
+  let starts = [ Core.Search_space.default_config space ] in
+  Core.Explorer.explore ~space ~model ~rng ~starts ()
+
+(* An explore keeps all its state local and only reads the space and the
+   model, so explores overlapping on several domains over one shared model
+   must rank exactly as an explore run alone. *)
+let test_explorer_parallel_equals_sequential () =
+  let space = direct_space () in
+  let model = explorer_model space in
+  let ranking () = explorer_ranking space model in
   let sequential = ranking () in
   Alcotest.(check bool) "non-empty" true (sequential <> []);
   List.iter
@@ -583,6 +588,47 @@ let test_tuner_parallel_equals_sequential () =
             (par.history = seq.history))
         (concurrently lanes run))
     [ 2; 4 ]
+
+(* The explorer's ranking, pinned: every returned config in order, after
+   walks over a trained model from a fixed rng.  A booster predicts
+   piecewise-constant costs, and 75 of the 379 configs here share a cost
+   with another, so the digest moves with the walks, the set of visited
+   configs and the tie-break on the config key alike. *)
+let test_explorer_ranking_pinned () =
+  let space = direct_space () in
+  let ranking = explorer_ranking space (explorer_model space) in
+  Alcotest.(check string) "digest of the ranking" "dda4e3dc82448e1c46adb34718324729"
+    (Digest.to_hex (Digest.string (String.concat "\n" (List.map Core.Config.to_compact ranking))))
+
+let pinned_tune () = Core.Tuner.tune ~seed:4 ~max_measurements:120 ~space:(direct_space ()) ()
+
+(* One 120-trial tune, pinned: best config, runtime and best-so-far history,
+   every float in hex.  A changed ranking, batch make-up or model moves it. *)
+let test_tuner_pinned () =
+  let r = pinned_tune () in
+  let b = Buffer.create 2048 in
+  Printf.bprintf b "%s %h" (Core.Config.to_compact r.best_config) r.best_runtime_us;
+  List.iter
+    (fun (p : Core.Tuner.progress) -> Printf.bprintf b " %d:%h" p.measurement p.best_runtime_us)
+    r.history;
+  Alcotest.(check string) "digest of the tune" "861fffbfc250b4525e93b47f5f3e4149"
+    (Digest.to_hex (Digest.string (Buffer.contents b)))
+
+(* An allocation ceiling on the tuner.  A tune's minor words on the calling
+   domain repeat exactly at a fixed seed (after one warm-up run), so an
+   allocation regression fails here, not in a wall-clock bench.  The pinned
+   tune allocated 3,782,065 words while the tuner keyed its tables on
+   printed configs and retrained with per-round gradient arrays, and
+   1,456,560 once both went; the ceiling is 1.1x the latter. *)
+let test_tune_allocation_ceiling () =
+  ignore (pinned_tune ());
+  let before = Gc.minor_words () in
+  ignore (pinned_tune ());
+  let words = Gc.minor_words () -. before in
+  let ceiling = 1.1 *. 1_456_560. in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.0f minor words <= %.0f" words ceiling)
+    true (words <= ceiling)
 
 let test_explorer_returns_members () =
   let space = direct_space () in
@@ -696,6 +742,59 @@ let test_config_compact_roundtrip () =
   done;
   Alcotest.(check bool) "garbage rejected" true (Core.Config.of_compact "nonsense" = None);
   Alcotest.(check bool) "partial rejected" true (Core.Config.of_compact "d|CHW|1,2" = None)
+
+(* [Config.Tbl] keys on every field: each one-field variant of a config
+   hashes apart from it, [double_buffer] and Winograd's [e] included (the
+   generic [Hashtbl.hash] reads ten meaningful words and drops both), and a
+   table keeps the two apart. *)
+let test_config_hash_covers_every_field () =
+  let direct =
+    {
+      Core.Config.algorithm = Direct_dataflow;
+      layout = Tensor.Layout.CHW;
+      tile_x = 4;
+      tile_y = 4;
+      tile_z = 16;
+      threads_x = 2;
+      threads_y = 2;
+      threads_z = 8;
+      unroll = 2;
+      vector_width = 1;
+      double_buffer = false;
+    }
+  in
+  let winograd = { direct with algorithm = Winograd_dataflow 2 } in
+  let variants =
+    [
+      ("algorithm", direct, winograd);
+      ("e", winograd, { winograd with algorithm = Winograd_dataflow 4 });
+      ("layout", direct, { direct with layout = Tensor.Layout.HWC });
+      ("tile_x", direct, { direct with tile_x = 8 });
+      ("tile_y", direct, { direct with tile_y = 8 });
+      ("tile_z", direct, { direct with tile_z = 32 });
+      ("threads_x", direct, { direct with threads_x = 4 });
+      ("threads_y", direct, { direct with threads_y = 4 });
+      ("threads_z", direct, { direct with threads_z = 16 });
+      ("unroll", direct, { direct with unroll = 4 });
+      ("vector_width", direct, { direct with vector_width = 2 });
+      ("double_buffer", direct, { direct with double_buffer = true });
+      ("winograd double_buffer", winograd, { winograd with double_buffer = true });
+    ]
+  in
+  List.iter
+    (fun (field, a, b) ->
+      Alcotest.(check bool) (field ^ ": hashes apart") true
+        (Core.Config.hash a <> Core.Config.hash b);
+      Alcotest.(check bool) (field ^ ": not equal") false (a = b);
+      let tbl = Core.Config.Tbl.create 4 in
+      Core.Config.Tbl.replace tbl a "a";
+      Core.Config.Tbl.replace tbl b "b";
+      Alcotest.(check int) (field ^ ": two entries") 2 (Core.Config.Tbl.length tbl);
+      Alcotest.(check string) (field ^ ": first kept") "a" (Core.Config.Tbl.find tbl a);
+      Alcotest.(check string) (field ^ ": second kept") "b" (Core.Config.Tbl.find tbl b))
+    variants;
+  Alcotest.(check bool) "equal copies hash alike" true
+    (Core.Config.hash { direct with tile_x = 4 } = Core.Config.hash direct)
 
 (* Satellite of the verification subsystem: the pruned tile set is exactly
    the brute-force filter of the unpruned one under the documented predicate
@@ -1083,6 +1182,9 @@ let () =
           Alcotest.test_case "trial budget below one is rejected" `Quick
             test_trial_budget_below_one_rejected;
           Alcotest.test_case "baselines run" `Slow test_baselines_run;
+          Alcotest.test_case "explorer ranking pinned" `Quick test_explorer_ranking_pinned;
+          Alcotest.test_case "tuner pinned bit for bit" `Quick test_tuner_pinned;
+          Alcotest.test_case "tune allocation ceiling" `Quick test_tune_allocation_ceiling;
         ] );
       ( "errors",
         [
@@ -1105,5 +1207,7 @@ let () =
           Alcotest.test_case "tune journal -0.0 and subnormals" `Quick
             test_tune_journal_negative_zero_and_subnormals;
           QCheck_alcotest.to_alcotest qcheck_tune_journal_replay_bit_identical;
+          Alcotest.test_case "config hash covers every field" `Quick
+            test_config_hash_covers_every_field;
         ] );
     ]
