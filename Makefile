@@ -89,7 +89,7 @@ audit-deep:
 
 # Audit overhead sweep; rewrites BENCH_audit.json in the cwd.
 bench-audit:
-	dune exec bench/audit_bench.exe
+	dune exec bench/audit_bench.exe -- json BENCH_audit.json
 
 # Gold-file regression fleet: 6 CNNs x 4 simulated architectures.
 # `make gold` re-records the golden per-layer results under regress/gold/

@@ -54,14 +54,23 @@ let shmem_fits space cfg = Config.shmem_bytes space.spec cfg <= space.shmem_budg
 
 (* A triple is admissible when at least the plain (no double-buffer) variant
    fits the shared-memory budget. *)
-let tile_fits space (x, y, z) =
-  let cfg =
-    config ~space ~tile:(x, y, z) ~threads:(1, 1, 1) ~unroll:1 ~vector_width:1
-      ~layout:Tensor.Layout.CHW ~double_buffer:false
-  in
-  shmem_fits space cfg
+let tile_fits space x y z =
+  shmem_fits space
+    {
+      Config.algorithm = space.algorithm;
+      layout = Tensor.Layout.CHW;
+      tile_x = x;
+      tile_y = y;
+      tile_z = z;
+      threads_x = 1;
+      threads_y = 1;
+      threads_z = 1;
+      unroll = 1;
+      vector_width = 1;
+      double_buffer = false;
+    }
 
-let prune_ok space (x, y, z) =
+let prune_ok space x y z =
   if not space.pruned then true
   else begin
     let r = Conv.Conv_spec.reuse space.spec in
@@ -71,44 +80,69 @@ let prune_ok space (x, y, z) =
     && float_of_int (x * y) <= sqrt (sb *. r) +. 1e-9
   end
 
-(* Divisors of the extent plus powers of two: prime-ish output extents (e.g.
-   149 in Inception's stem) have no useful divisors, and the dataflow clamps
-   edge blocks anyway, so non-dividing tiles are legal — merely slightly
-   ragged. *)
-let with_powers_of_two extent divisors =
-  let rec powers p acc = if p > extent then acc else powers (2 * p) (p :: acc) in
-  List.sort_uniq compare (divisors @ powers 2 [])
-
-let x_candidates (spec : Conv.Conv_spec.t) algorithm extent =
+(* One tile axis of the domain.  A direct extent takes the divisors of the
+   output extent plus the powers of two up to it: prime-ish output extents
+   (e.g. 149 in Inception's stem) have no useful divisors, and the dataflow
+   clamps edge blocks anyway, so non-dividing tiles are legal — merely
+   slightly ragged.  A Winograd extent takes the multiples of [e] up to the
+   output extent, or [e] alone when the output is no wider than one tile. *)
+let axis_ok algorithm extent v =
   match algorithm with
-  | Config.Direct_dataflow -> with_powers_of_two extent (Optimality.divisors extent)
+  | Config.Direct_dataflow -> 1 <= v && v <= extent && (extent mod v = 0 || v land (v - 1) = 0)
   | Config.Winograd_dataflow e ->
-    ignore spec;
-    if extent <= e then [ e ]
-    else List.init (extent / e) (fun i -> (i + 1) * e)
+    if extent <= e then v = e else e <= v && v <= extent && v mod e = 0
 
-let make ?(pruned = true) arch spec algorithm =
+(* Membership of a triple in the domain [make] enumerates: the axis rules,
+   then the shared-memory fit, then (when pruned) the optimality cut. *)
+let tile_ok space x y z =
+  axis_ok space.algorithm (Conv.Conv_spec.w_out space.spec) x
+  && axis_ok space.algorithm (Conv.Conv_spec.h_out space.spec) y
+  && axis_ok Config.Direct_dataflow space.spec.c_out z
+  && tile_fits space x y z
+  && prune_ok space x y z
+
+(* The ascending values [axis_ok] admits, scanned over a range that holds
+   them all: [1, extent], plus [e] when one Winograd tile covers the
+   extent. *)
+let axis_candidates algorithm extent =
+  let rec down v acc =
+    if v < 1 then acc else down (v - 1) (if axis_ok algorithm extent v then v :: acc else acc)
+  in
+  match algorithm with
+  | Config.Winograd_dataflow e when extent <= e -> List.filter (axis_ok algorithm extent) [ e ]
+  | _ -> down extent []
+
+let unrolls = [| 1; 2; 4; 8 |]
+let vectors = [| 1; 2; 4 |]
+let layouts = Array.of_list Tensor.Layout.all
+
+(* Everything about a domain except its tile array; what [admits] checks a
+   config against without enumerating anything. *)
+let domain ~pruned arch spec algorithm =
   (match algorithm with
   | Config.Winograd_dataflow _ when not (Conv.Winograd.supported spec) ->
     invalid_arg "Search_space.make: winograd unsupported for this layer"
+  | Config.Winograd_dataflow e when e < 1 ->
+    invalid_arg "Search_space.make: winograd tile e must be positive"
   | _ -> ());
-  let w_out = Conv.Conv_spec.w_out spec and h_out = Conv.Conv_spec.h_out spec in
-  let space_no_tiles =
-    {
-      arch;
-      spec;
-      algorithm;
-      pruned;
-      shmem_budget_bytes = budget_bytes arch;
-      tiles = [||];
-      unrolls = [| 1; 2; 4; 8 |];
-      vectors = [| 1; 2; 4 |];
-      layouts = Array.of_list Tensor.Layout.all;
-    }
-  in
-  let xs = x_candidates spec algorithm w_out in
-  let ys = x_candidates spec algorithm h_out in
-  let zs = with_powers_of_two spec.c_out (Optimality.divisors spec.c_out) in
+  {
+    arch;
+    spec;
+    algorithm;
+    pruned;
+    shmem_budget_bytes = budget_bytes arch;
+    tiles = [||];
+    unrolls;
+    vectors;
+    layouts;
+  }
+
+let make ?(pruned = true) arch spec algorithm =
+  let space = domain ~pruned arch spec algorithm in
+  let xs = axis_candidates algorithm (Conv.Conv_spec.w_out spec) in
+  let ys = axis_candidates algorithm (Conv.Conv_spec.h_out spec) in
+  let zs = axis_candidates Config.Direct_dataflow spec.c_out in
+  (* Each axis already passes [axis_ok]; the rest of [tile_ok] filters. *)
   let tiles =
     List.concat_map
       (fun x ->
@@ -116,16 +150,13 @@ let make ?(pruned = true) arch spec algorithm =
           (fun y ->
             List.filter_map
               (fun z ->
-                let triple = (x, y, z) in
-                if tile_fits space_no_tiles triple && prune_ok space_no_tiles triple then
-                  Some triple
-                else None)
+                if tile_fits space x y z && prune_ok space x y z then Some (x, y, z) else None)
               zs)
           ys)
       xs
   in
   if tiles = [] then invalid_arg "Search_space.make: empty domain";
-  { space_no_tiles with tiles = Array.of_list tiles }
+  { space with tiles = Array.of_list tiles }
 
 let thread_triples space (x, y, z) =
   let limit = space.arch.max_threads_per_block in
@@ -194,7 +225,7 @@ let validate space (cfg : Config.t) =
   let threads = (cfg.threads_x, cfg.threads_y, cfg.threads_z) in
   if cfg.algorithm <> space.algorithm then
     Error (Wrong_algorithm { expected = space.algorithm; got = cfg.algorithm })
-  else if not (Array.exists (fun t -> t = tile) space.tiles) then
+  else if not (tile_ok space cfg.tile_x cfg.tile_y cfg.tile_z) then
     Error (Tile_not_in_domain { tile })
   else if
     cfg.threads_x < 1 || cfg.threads_y < 1 || cfg.threads_z < 1
@@ -224,6 +255,9 @@ let validate space (cfg : Config.t) =
            budget_bytes = space.shmem_budget_bytes;
          })
   else Ok ()
+
+let admits ?(pruned = true) arch spec algorithm cfg =
+  validate (domain ~pruned arch spec algorithm) cfg
 
 let mem space cfg = validate space cfg = Ok ()
 

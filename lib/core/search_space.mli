@@ -3,8 +3,10 @@
     A space enumerates the tunable axes for one (architecture, layer,
     algorithm) triple:
 
-    - tile extents are divisors of the output extents (for Winograd,
-      multiples of [e] as well);
+    - a direct tile extent divides the output extent or is a power of two
+      no larger than it; a Winograd one is a multiple of [e] no larger than
+      the output extent (or [e] itself when one tile covers the output);
+      channel tiles follow the direct rule over [c_out];
     - thread extents are divisors of the tile extents, bounded by the block
       thread limit;
     - unroll in {1,2,4,8}, vector width in {1,2,4}, three layouts, double
@@ -21,8 +23,11 @@
 type t
 
 val make : ?pruned:bool -> Gpu_sim.Arch.t -> Conv.Conv_spec.t -> Config.algorithm -> t
-(** Default [pruned = true].  Raises [Invalid_argument] when no valid
-    configuration exists (never happens for the experiment layers). *)
+(** Default [pruned = true].  Raises [Invalid_argument] for a Winograd
+    algorithm the layer does not support (or [e < 1]), and when no valid
+    configuration exists (never happens for the experiment layers).  The
+    tile array lists, in ascending (x, y, z) order, exactly the triples the
+    membership predicate behind {!validate} admits. *)
 
 val spec : t -> Conv.Conv_spec.t
 val arch : t -> Gpu_sim.Arch.t
@@ -62,7 +67,20 @@ type invalid =
 val validate : t -> Config.t -> (unit, invalid) result
 (** Typed membership test: [Ok ()] iff the configuration is in the domain,
     otherwise the first violated constraint in checking order (algorithm,
-    tile, thread divisibility, thread limit, knobs, shared memory). *)
+    tile, thread divisibility, thread limit, knobs, shared memory).  The
+    tile test is the arithmetic predicate [make] enumerates with (axis
+    rules, shared-memory fit, pruning cut), not a scan of the tile array. *)
+
+val admits :
+  ?pruned:bool -> Gpu_sim.Arch.t -> Conv.Conv_spec.t -> Config.algorithm -> Config.t ->
+  (unit, invalid) result
+(** [admits ?pruned arch spec algorithm cfg] is
+    [validate (make ?pruned arch spec algorithm) cfg] without enumerating
+    the domain: a handful of arithmetic tests.  It raises [Invalid_argument]
+    where [make] raises before enumerating (a Winograd algorithm the layer
+    does not support, or [e < 1]).  It cannot tell an empty domain apart, so where [make]
+    finds the domain empty it returns an [Error]: [Ok ()] always means
+    [make] succeeds and [validate] accepts. *)
 
 val invalid_to_string : invalid -> string
 (** Human-readable rendering including the offending sizes. *)

@@ -10,13 +10,21 @@
 let fnv_offset = 0xcbf29ce484222325L
 let fnv_prime = 0x100000001b3L
 
+let hex_digits = "0123456789abcdef"
+
+(* A plain loop keeps the hash unboxed (a ref captured by a closure is a
+   boxed Int64 per byte); the key is the hash as 16 lower-case hex digits. *)
 let content_key s =
   let h = ref fnv_offset in
-  String.iter
-    (fun c ->
-      h := Int64.mul (Int64.logxor !h (Int64.of_int (Char.code c))) fnv_prime)
-    s;
-  Printf.sprintf "%016Lx" !h
+  for i = 0 to String.length s - 1 do
+    h := Int64.mul (Int64.logxor !h (Int64.of_int (Char.code (String.unsafe_get s i)))) fnv_prime
+  done;
+  let h = !h in
+  let key = Bytes.create 16 in
+  for i = 0 to 15 do
+    Bytes.set key i hex_digits.[Int64.to_int (Int64.shift_right_logical h (60 - (4 * i))) land 15]
+  done;
+  Bytes.unsafe_to_string key
 
 (* --- analytic reprice ---------------------------------------------------- *)
 
@@ -168,13 +176,19 @@ let check ?(policy = strict) ?key ?gflops ?predicted_us:claimed_predicted
       let derived = content_key canonical in
       if not (String.equal claimed derived) then flag (Key_mismatch { claimed; derived })
     | None -> ());
-    (* 2. Domain membership. *)
-    (match Core.Search_space.make ~pruned arch spec algorithm with
-    | exception Invalid_argument msg -> flag (Empty_domain msg)
-    | space -> (
-      match Core.Search_space.validate space config with
-      | Ok () -> ()
-      | Error why -> flag (Not_in_domain why)));
+    (* 2. Domain membership, by the space's arithmetic predicate: an admitted
+       config needs no enumeration.  Only a refused one builds the domain,
+       so that an empty domain ([make] raises) reports as such and a config
+       outside a real domain reports [validate]'s reason. *)
+    (match Core.Search_space.admits ~pruned arch spec algorithm config with
+    | Ok () -> ()
+    | Error _ | (exception Invalid_argument _) -> (
+      match Core.Search_space.make ~pruned arch spec algorithm with
+      | exception Invalid_argument msg -> flag (Empty_domain msg)
+      | space -> (
+        match Core.Search_space.validate space config with
+        | Ok () -> ()
+        | Error why -> flag (Not_in_domain why))));
     (* 3. Launch feasibility, via the typed checker on the bare geometry. *)
     (match
        Gpu_sim.Kernel_cost.make ~flops:1.0 ~io_elems:1.0

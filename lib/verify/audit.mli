@@ -11,7 +11,8 @@
     - the canonical string round-trips through the canonical renderer
       byte-exactly, and the claimed content key is its FNV-1a hash;
     - the configuration is a member of the claimed [Core.Search_space]
-      ([validate]-clean) and launch-feasible per [Gpu_sim.Kernel_cost.check];
+      ([Core.Search_space.admits]-clean, so an honest claim never builds
+      the domain) and launch-feasible per [Gpu_sim.Kernel_cost.check];
     - the claimed analytic cost re-prices bit-identically through the
       noise-free [Gpu_sim.Kernel_cost], the claimed gflops agree with the
       one nominal-gflops formula, and the measured runtime sits within a

@@ -433,6 +433,196 @@ let test_tuner_near_exhaustive_optimum () =
     true
     (tuned.best_runtime_us <= !best *. 1.05)
 
+(* --- the membership predicate is the enumeration --- *)
+
+(* Every distinct (arch, spec, algorithm, pruned) domain of the gold fleet,
+   both pruning settings, sorted by canonical key, each with its space. *)
+let fleet_spaces =
+  lazy
+    (let seen = Hashtbl.create 1024 in
+     List.iter
+       (fun arch ->
+         List.iter
+           (fun (m : Cnn.Models.t) ->
+             List.iter
+               (fun (l : Cnn.Layer.t) ->
+                 List.iter
+                   (fun algo ->
+                     List.iter
+                       (fun pruned ->
+                         let key = Core.Search_space.canonical_key arch l.spec algo ~pruned in
+                         if not (Hashtbl.mem seen key) then
+                           Hashtbl.replace seen key (arch, l.spec, algo, pruned))
+                       [ true; false ])
+                   (Cnn.Runner.candidates l))
+               m.layers)
+           (Regress.Sweep.fleet_models ()))
+       (Regress.Sweep.fleet_arches ());
+     List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) seen [])
+     |> List.map (fun (key, (arch, spec, algo, pruned)) ->
+            (key, Core.Search_space.make ~pruned arch spec algo)))
+
+let admits space cfg =
+  Core.Search_space.(admits ~pruned:(pruned space) (arch space) (spec space) (algorithm space))
+    cfg
+
+(* Over every fleet domain: sweeping one tile axis of an anchor tile over
+   0..extent+e+1, [admits] refuses the tile exactly when [make] did not
+   enumerate it, and answers as [validate] on the built space; and [admits]
+   accepts the representative config of every enumerated tile. *)
+let test_admits_is_the_enumeration () =
+  List.iter
+    (fun (key, space) ->
+      let tiles = Core.Search_space.tile_candidates space in
+      let enumerated = Hashtbl.create (Array.length tiles) in
+      Array.iter (fun t -> Hashtbl.replace enumerated t ()) tiles;
+      Array.iter
+        (fun t ->
+          if admits space (Core.Search_space.config_for_tile space t) <> Ok () then
+            Alcotest.failf "%s: representative of an enumerated tile refused" key)
+        tiles;
+      let spec = Core.Search_space.spec space in
+      let e =
+        match Core.Search_space.algorithm space with
+        | Core.Config.Direct_dataflow -> 0
+        | Core.Config.Winograd_dataflow e -> e
+      in
+      let base = Core.Search_space.default_config space in
+      let sweep extent set =
+        for v = 0 to extent + e + 1 do
+          let cfg = set v in
+          let tile = (cfg.Core.Config.tile_x, cfg.tile_y, cfg.tile_z) in
+          let got = admits space cfg in
+          let in_tiles =
+            match got with Error (Core.Search_space.Tile_not_in_domain _) -> false | _ -> true
+          in
+          if in_tiles <> Hashtbl.mem enumerated tile then
+            Alcotest.failf "%s: tile %d,%d,%d admitted=%b enumerated=%b" key
+              cfg.tile_x cfg.tile_y cfg.tile_z in_tiles (not in_tiles);
+          if got <> Core.Search_space.validate space cfg then
+            Alcotest.failf "%s: admits and validate disagree on %s" key
+              (Core.Config.to_compact cfg)
+        done
+      in
+      sweep (Spec.w_out spec) (fun v -> { base with tile_x = v });
+      sweep (Spec.h_out spec) (fun v -> { base with tile_y = v });
+      sweep spec.c_out (fun v -> { base with tile_z = v }))
+    (Lazy.force fleet_spaces)
+
+(* Every fleet domain's tile array, content and order, as [make] enumerated
+   it before the predicate existed: 768 domains, 224,857 tiles. *)
+let test_fleet_tiles_pinned () =
+  let b = Buffer.create (1 lsl 20) in
+  List.iter
+    (fun (key, space) ->
+      Buffer.add_string b key;
+      Array.iter
+        (fun (x, y, z) -> Printf.bprintf b " %d,%d,%d" x y z)
+        (Core.Search_space.tile_candidates space);
+      Buffer.add_char b '\n')
+    (Lazy.force fleet_spaces);
+  Alcotest.(check int) "fleet domains" 768 (List.length (Lazy.force fleet_spaces));
+  Alcotest.(check string) "digest of every tile array" "45a01f32a1a060fe69bab64d8e79d5d1"
+    (Digest.to_hex (Digest.string (Buffer.contents b)))
+
+(* Small layers with odd extents, strides and groups, every architecture,
+   direct and Winograd (supported or not, and e = 0).  The config's tile
+   axes run over 0..extent+e+1, or the tile is one [make] enumerated, raw
+   or with one axis swept; then one other field may be mutated.  Where
+   [make] builds the domain, [admits] is [validate] on it, constructor and
+   payload alike, and refuses the tile exactly when [make] did not list it;
+   where [make] raises, [admits] never answers [Ok]. *)
+let qcheck_admits_equals_validate =
+  let gen =
+    QCheck.Gen.(
+      let* groups = frequencyl [ (3, 1); (1, 2) ] in
+      let* c_in = int_range 1 6 and* c_out = int_range 1 20 in
+      let* h_in = int_range 1 15 and* w_in = int_range 1 15 in
+      let* k_h = int_range 1 4 and* k_w = int_range 1 4 and* square = bool in
+      let* stride = frequencyl [ (3, 1); (1, 2); (1, 3) ] and* pad = int_range 0 2 in
+      let* arch = oneofl Gpu_sim.Arch.all and* pruned = bool in
+      let* algorithm =
+        frequencyl
+          Core.Config.
+            [ (5, Direct_dataflow); (1, Winograd_dataflow 0); (2, Winograd_dataflow 2);
+              (2, Winograd_dataflow 3); (1, Winograd_dataflow 4); (1, Winograd_dataflow 6) ]
+      in
+      let* raw = triple (int_range 0 (w_in + 7)) (int_range 0 (h_in + 7))
+          (int_range 0 ((c_out * groups) + 7)) in
+      let* tile_from = int_range 0 5 and* pick = int_range 0 10_000 in
+      let* field = int_range 0 8 and* value = int_range 0 9 in
+      return
+        ( (c_in * groups, c_out * groups, groups, h_in, w_in, k_h,
+           (if square then k_h else k_w), stride, pad),
+          (arch, pruned, algorithm),
+          (raw, tile_from, pick, field, value) ))
+  in
+  let print ((ci, co, g, h, w, kh, kw, s, p), (a, pr, al), ((tx, ty, tz), from, pick, f, v)) =
+    Printf.sprintf
+      "cin=%d cout=%d g=%d %dx%d k=%dx%d s=%d p=%d %s pruned=%b %s raw=%d,%d,%d from=%d \
+       pick=%d field %d := %d"
+      ci co g h w kh kw s p a.Gpu_sim.Arch.name pr (Core.Config.algorithm_to_string al) tx ty
+      tz from pick f v
+  in
+  QCheck.Test.make ~name:"admits = validate (make ...), make raises => never Ok" ~count:2000
+    (QCheck.make ~print gen)
+    (fun ((c_in, c_out, groups, h_in, w_in, k_h, k_w, stride, pad), (arch, pruned, algorithm),
+          ((rx, ry, rz), tile_from, pick, field, value)) ->
+      match Spec.make ~c_in ~h_in ~w_in ~c_out ~k_h ~k_w ~stride ~pad ~groups () with
+      | exception Invalid_argument _ -> QCheck.assume_fail ()
+      | spec ->
+        let built =
+          match Core.Search_space.make ~pruned arch spec algorithm with
+          | exception Invalid_argument _ -> None
+          | space -> Some space
+        in
+        (* 0-1: raw axes; 2-3: an enumerated tile; 4-5: one with axis
+           [pick mod 3] swept to its raw value. *)
+        let tx, ty, tz =
+          match built with
+          | Some space when tile_from >= 2 ->
+            let tiles = Core.Search_space.tile_candidates space in
+            let x, y, z = tiles.(pick mod Array.length tiles) in
+            if tile_from < 4 then (x, y, z)
+            else (
+              match pick mod 3 with 0 -> (rx, y, z) | 1 -> (x, ry, z) | _ -> (x, y, rz))
+          | _ -> (rx, ry, rz)
+        in
+        let base =
+          { Core.Config.algorithm; layout = Tensor.Layout.CHW; tile_x = tx; tile_y = ty;
+            tile_z = tz; threads_x = 1; threads_y = 1; threads_z = 1; unroll = 1;
+            vector_width = 1; double_buffer = false }
+        in
+        let cfg =
+          match field with
+          | 0 -> { base with threads_x = value }
+          | 1 -> { base with threads_y = value }
+          | 2 -> { base with threads_z = 1 lsl (value + 2) }
+          | 3 -> { base with unroll = value }
+          | 4 -> { base with vector_width = value }
+          | 5 -> { base with layout = List.nth Tensor.Layout.all (value mod 3) }
+          | 6 -> { base with double_buffer = true }
+          | 7 -> { base with algorithm = Core.Config.Winograd_dataflow (value + 1) }
+          | _ -> base
+        in
+        let admitted () = Core.Search_space.admits ~pruned arch spec algorithm cfg in
+        match built with
+        | None -> (
+          match admitted () with
+          | Ok () -> QCheck.Test.fail_report "make raises but admits is Ok"
+          | Error _ | (exception Invalid_argument _) -> true)
+        | Some space ->
+          let got = admitted () in
+          let listed =
+            cfg.algorithm <> algorithm
+            || Array.mem (tx, ty, tz) (Core.Search_space.tile_candidates space)
+          in
+          let refused_tile =
+            match got with Error (Core.Search_space.Tile_not_in_domain _) -> true | _ -> false
+          in
+          if listed = refused_tile then QCheck.Test.fail_report "tile verdict is not make's"
+          else got = Core.Search_space.validate space cfg)
+
 (* --- cost model --- *)
 
 let test_cost_model_learns_ordering () =
@@ -1155,6 +1345,10 @@ let () =
           Alcotest.test_case "size matches enumeration" `Quick test_space_size_matches_enumeration;
           Alcotest.test_case "tuner near exhaustive optimum" `Slow
             test_tuner_near_exhaustive_optimum;
+          Alcotest.test_case "admits = enumeration over the fleet" `Quick
+            test_admits_is_the_enumeration;
+          Alcotest.test_case "fleet tile arrays pinned" `Quick test_fleet_tiles_pinned;
+          QCheck_alcotest.to_alcotest qcheck_admits_equals_validate;
         ] );
       ( "canonical",
         [

@@ -397,12 +397,27 @@ let test_audit_reason_tokens () =
     (has_token "canonical-unparseable"
        (check_claim { c with canonical = "not a canonical string" }))
 
+(* Mutation [m mod 7] of a genuine claim: one field changed so that the
+   audit can observe it (runtime factors sit outside the 5% noise band;
+   hex/digit bumps always change the string; the config swap is filtered
+   to a bitwise-different analytic price). *)
+let mutate space arch spec c (m, j) =
+  let f = [| 0.5; 0.8; 1.25; 2.0 |].(j mod 4) in
+  match m mod 7 with
+  | 0 -> { c with key = flip_hex c.key j }
+  | 1 -> { c with runtime_us = c.runtime_us *. f }
+  | 2 -> { c with gflops = c.gflops *. f }
+  | 3 -> { c with predicted = c.predicted *. f }
+  | 4 -> { c with q = c.q *. f }
+  | 5 -> { c with canonical = bump_digit c.canonical j }
+  | _ -> (
+    match alt_tile_config space c.config arch spec with
+    | Some cand -> { c with config = cand }
+    | None -> { c with key = flip_hex c.key j })
+
 (* The tentpole property: a genuine tuple audits [Ok]; any single-field
-   mutation that changes an audited value is rejected.  Every mutation
-   below is constructed to be observable (runtime factors sit outside the
-   5% noise band; hex/digit bumps always change the string; the config
-   swap is filtered to a bitwise-different analytic price), so the
-   property is exactly "mutated => Suspect". *)
+   mutation that changes an audited value is rejected, so the property is
+   exactly "mutated => Suspect". *)
 let qcheck_audit_mutation =
   let count = if deep then 500 else 120 in
   QCheck.Test.make ~count
@@ -415,24 +430,156 @@ let qcheck_audit_mutation =
       | v ->
         QCheck.Test.fail_reportf "genuine claim rejected: %s"
           (Audit.verdict_to_string v));
-      let f = [| 0.5; 0.8; 1.25; 2.0 |].(j mod 4) in
-      let mutated =
-        match m mod 7 with
-        | 0 -> { c with key = flip_hex c.key j }
-        | 1 -> { c with runtime_us = c.runtime_us *. f }
-        | 2 -> { c with gflops = c.gflops *. f }
-        | 3 -> { c with predicted = c.predicted *. f }
-        | 4 -> { c with q = c.q *. f }
-        | 5 -> { c with canonical = bump_digit c.canonical j }
-        | _ -> (
-          match alt_tile_config space c.config arch spec with
-          | Some cand -> { c with config = cand }
-          | None -> { c with key = flip_hex c.key j })
-      in
-      match check_claim mutated with
+      match check_claim (mutate space arch spec c (m, j)) with
       | Audit.Suspect _ -> true
       | Audit.Ok ->
-        QCheck.Test.fail_reportf "mutation %d (factor %g) accepted" (m mod 7) f)
+        QCheck.Test.fail_reportf "mutation %d (factor %g) accepted" (m mod 7)
+          [| 0.5; 0.8; 1.25; 2.0 |].(j mod 4))
+
+(* Step 2 of the audit as it ran before [Search_space.admits]: build the
+   domain, then look the tile up in its array and validate the rest. *)
+let reference_domain_reasons c =
+  match Audit.parse_canonical c.canonical with
+  | None -> []
+  | Some (arch, spec, algorithm, pruned) -> (
+    match Core.Search_space.make ~pruned arch spec algorithm with
+    | exception Invalid_argument msg -> [ Audit.Empty_domain msg ]
+    | space -> (
+      let cfg = c.config in
+      let tile = (cfg.tile_x, cfg.tile_y, cfg.tile_z) in
+      let listed = Array.exists (( = ) tile) (Core.Search_space.tile_candidates space) in
+      match Core.Search_space.validate space cfg with
+      | Error (Core.Search_space.Wrong_algorithm _ as why) -> [ Audit.Not_in_domain why ]
+      | _ when not listed -> [ Audit.Not_in_domain (Tile_not_in_domain { tile }) ]
+      | Error (Tile_not_in_domain _) -> Alcotest.fail "validate refuses a listed tile"
+      | Ok () -> []
+      | Error why -> [ Audit.Not_in_domain why ]))
+
+(* The reference verdict: the audit's own reasons with its domain step
+   replaced by the reference's, in the same place (after the key check). *)
+let reference_verdict c =
+  let reasons = match check_claim c with Audit.Ok -> [] | Audit.Suspect rs -> rs in
+  let domain = function Audit.Empty_domain _ | Audit.Not_in_domain _ -> true | _ -> false in
+  let keyed, rest =
+    List.partition (function Audit.Key_mismatch _ -> true | _ -> false) reasons
+  in
+  match keyed @ reference_domain_reasons c @ List.filter (fun r -> not (domain r)) rest with
+  | [] -> Audit.Ok
+  | rs -> Audit.Suspect rs
+
+let render = function
+  | Audit.Ok -> [ "ok" ]
+  | Audit.Suspect rs -> List.map Audit.reason_to_string rs
+
+(* A claim whose canonical names [algorithm] on [spec], a domain [make]
+   refuses to build, carrying a 1x1x1 direct config priced as if genuine. *)
+let refused_claim arch spec algorithm =
+  let canonical = Core.Search_space.canonical_key arch spec algorithm ~pruned:true in
+  let config =
+    { Core.Config.algorithm = Direct_dataflow; layout = Tensor.Layout.CHW; tile_x = 1;
+      tile_y = 1; tile_z = 1; threads_x = 1; threads_y = 1; threads_z = 1; unroll = 1;
+      vector_width = 1; double_buffer = false }
+  in
+  let predicted = Audit.predicted_us arch spec config in
+  { canonical; key = Audit.content_key canonical; config; runtime_us = predicted;
+    gflops = Core.Tuner.nominal_gflops spec ~runtime_us:predicted; predicted;
+    q = Audit.q_ratio arch spec config }
+
+(* The audit's verdict and reasons equal the make + validate reference on
+   the genuine claims, the mutation generator's claims, configs moved off
+   the domain one field at a time, an empty domain (an 11x11 kernel over an
+   11x11 input: one output pixel never reaches the pruned xy ~ Rz) and an
+   unsupported Winograd request (stride 2). *)
+let test_audit_matches_make_reference () =
+  let claims =
+    List.concat_map
+      (fun arch_i ->
+        List.concat_map
+          (fun spec_i ->
+            List.concat_map
+              (fun cfg_seed ->
+                let space, arch, spec, c = claim_of ~arch_i ~spec_i ~cfg_seed in
+                let cfg = c.config in
+                let outside =
+                  List.map
+                    (fun config -> { c with config })
+                    [ { cfg with tile_x = 3 }; { cfg with tile_y = cfg.tile_y + 1 };
+                      { cfg with tile_z = 3 * cfg.tile_z };
+                      { cfg with threads_x = 2 * cfg.tile_x }; { cfg with unroll = 3 };
+                      { cfg with algorithm = Core.Config.Winograd_dataflow 1 } ]
+                in
+                (c :: List.init 14 (fun m -> mutate space arch spec c (m, m + cfg_seed)))
+                @ outside)
+              [ 0; 1; 2; 3 ])
+          [ 0; 1; 2 ])
+      [ 0; 1; 2; 3 ]
+  in
+  let v100 = Gpu_sim.Arch.v100 in
+  let refused =
+    [
+      refused_claim v100
+        (Conv.Conv_spec.square ~c_in:1 ~size:11 ~c_out:1 ~k:11 ())
+        Core.Config.Direct_dataflow;
+      refused_claim v100
+        (Conv.Conv_spec.square ~c_in:16 ~size:16 ~c_out:16 ~k:3 ~stride:2 ())
+        (Core.Config.Winograd_dataflow 2);
+    ]
+  in
+  List.iter
+    (fun c ->
+      Alcotest.(check (list string))
+        (Printf.sprintf "%s %s" c.canonical (Core.Config.to_compact c.config))
+        (render (reference_verdict c)) (render (check_claim c)))
+    (claims @ refused);
+  List.iter
+    (fun c ->
+      Alcotest.(check bool) "empty-domain reported" true
+        (has_token "empty-domain" (check_claim c)))
+    refused;
+  Alcotest.(check bool) "some claim is not-in-domain" true
+    (List.exists (fun c -> has_token "not-in-domain" (check_claim c)) claims)
+
+(* The published FNV-1a 64 test vectors, and one canonical's key as the
+   service has always computed it. *)
+let test_content_key_vectors () =
+  List.iter
+    (fun (s, key) -> Alcotest.(check string) (Printf.sprintf "%S" s) key (Audit.content_key s))
+    [
+      ("", "cbf29ce484222325");
+      ("a", "af63dc4c8601ec8c");
+      ("foobar", "85944171f73967e8");
+      ( "arch=V100;batch=1,cin=64,hin=56,win=56,cout=64,kh=3,kw=3,stride=1,padh=0,padw=0,\
+         groups=1;algo=direct;pruned=true",
+        "28dce1a2bee51331" );
+    ]
+
+(* An allocation ceiling on one audit of a genuine claim: V100, 64->64 3x3
+   over 56x56, direct, [default_config].  Minor words on the calling domain
+   repeat exactly.  The audit allocated 37,575 words while it built the
+   whole search space to test membership, and 1,113 once membership became
+   an arithmetic predicate and the content key stopped boxing its hash; the
+   ceiling is 1.1x the latter. *)
+let test_audit_allocation_ceiling () =
+  let arch = Gpu_sim.Arch.v100 in
+  let spec = Conv.Conv_spec.square ~c_in:64 ~size:56 ~c_out:64 ~k:3 () in
+  let space = Core.Search_space.make arch spec Core.Config.Direct_dataflow in
+  let config = Core.Search_space.default_config space in
+  let canonical = Core.Search_space.canonical space in
+  let predicted = Audit.predicted_us arch spec config in
+  let c =
+    { canonical; key = Audit.content_key canonical; config; runtime_us = predicted;
+      gflops = Core.Tuner.nominal_gflops spec ~runtime_us:predicted; predicted;
+      q = Audit.q_ratio arch spec config }
+  in
+  Alcotest.(check string) "genuine" "ok" (Audit.verdict_to_string (check_claim c));
+  let before = Gc.minor_words () in
+  let v = check_claim c in
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check string) "still genuine" "ok" (Audit.verdict_to_string v);
+  let ceiling = 1.1 *. 1_113. in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.0f minor words <= %.0f" words ceiling)
+    true (words <= ceiling)
 
 let () =
   let conformance =
@@ -465,6 +612,10 @@ let () =
           Alcotest.test_case "tampering yields typed reasons" `Quick
             test_audit_reason_tokens;
           QCheck_alcotest.to_alcotest qcheck_audit_mutation;
+          Alcotest.test_case "verdicts equal the make + validate reference" `Quick
+            test_audit_matches_make_reference;
+          Alcotest.test_case "content key: FNV-1a 64 vectors" `Quick test_content_key_vectors;
+          Alcotest.test_case "audit allocation ceiling" `Quick test_audit_allocation_ceiling;
         ] );
       ("conformance", conformance);
     ]
