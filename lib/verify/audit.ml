@@ -177,18 +177,17 @@ let check ?(policy = strict) ?key ?gflops ?predicted_us:claimed_predicted
       if not (String.equal claimed derived) then flag (Key_mismatch { claimed; derived })
     | None -> ());
     (* 2. Domain membership, by the space's arithmetic predicate: an admitted
-       config needs no enumeration.  Only a refused one builds the domain,
-       so that an empty domain ([make] raises) reports as such and a config
-       outside a real domain reports [validate]'s reason. *)
+       config needs no enumeration, and [admits] raises [make]'s own message
+       for a domain [make] refuses before enumerating.  A refused config
+       builds the domain only to tell an empty domain from a config outside
+       a real one, whose reason [admits] already gave. *)
     (match Core.Search_space.admits ~pruned arch spec algorithm config with
     | Ok () -> ()
-    | Error _ | (exception Invalid_argument _) -> (
+    | exception Invalid_argument msg -> flag (Empty_domain msg)
+    | Error why -> (
       match Core.Search_space.make ~pruned arch spec algorithm with
       | exception Invalid_argument msg -> flag (Empty_domain msg)
-      | space -> (
-        match Core.Search_space.validate space config with
-        | Ok () -> ()
-        | Error why -> flag (Not_in_domain why))));
+      | _ -> flag (Not_in_domain why)));
     (* 3. Launch feasibility, via the typed checker on the bare geometry. *)
     (match
        Gpu_sim.Kernel_cost.make ~flops:1.0 ~io_elems:1.0

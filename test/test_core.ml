@@ -525,13 +525,28 @@ let test_fleet_tiles_pinned () =
   Alcotest.(check string) "digest of every tile array" "45a01f32a1a060fe69bab64d8e79d5d1"
     (Digest.to_hex (Digest.string (Buffer.contents b)))
 
+(* The per-axis candidate lists [make] enumerated before the membership
+   predicate existed, kept as the reference the predicate must reproduce
+   off the fleet too: a direct axis takes the divisors of its extent plus
+   the powers of two no larger; a Winograd one the multiples of [e] up to
+   the extent, or [e] alone when the extent is no wider than one tile. *)
+let reference_axis algorithm extent =
+  match algorithm with
+  | Core.Config.Direct_dataflow ->
+    let rec powers p acc = if p > extent then acc else powers (2 * p) (p :: acc) in
+    List.sort_uniq compare (Core.Optimality.divisors extent @ powers 2 [])
+  | Core.Config.Winograd_dataflow e ->
+    if extent <= e then [ e ] else List.init (extent / e) (fun i -> (i + 1) * e)
+
 (* Small layers with odd extents, strides and groups, every architecture,
    direct and Winograd (supported or not, and e = 0).  The config's tile
    axes run over 0..extent+e+1, or the tile is one [make] enumerated, raw
    or with one axis swept; then one other field may be mutated.  Where
    [make] builds the domain, [admits] is [validate] on it, constructor and
    payload alike, and refuses the tile exactly when [make] did not list it;
-   where [make] raises, [admits] never answers [Ok]. *)
+   the tile array ascends and draws every axis from [reference_axis], and a
+   tile with an axis outside those lists gets [Tile_not_in_domain].  Where
+   [make] raises, [admits] never answers [Ok]. *)
 let qcheck_admits_equals_validate =
   let gen =
     QCheck.Gen.(
@@ -620,7 +635,22 @@ let qcheck_admits_equals_validate =
           let refused_tile =
             match got with Error (Core.Search_space.Tile_not_in_domain _) -> true | _ -> false
           in
-          if listed = refused_tile then QCheck.Test.fail_report "tile verdict is not make's"
+          let tiles = Core.Search_space.tile_candidates space in
+          let xs = reference_axis algorithm (Spec.w_out spec) in
+          let ys = reference_axis algorithm (Spec.h_out spec) in
+          let zs = reference_axis Core.Config.Direct_dataflow spec.c_out in
+          let in_reference (x, y, z) = List.mem x xs && List.mem y ys && List.mem z zs in
+          let ascending = ref true in
+          for i = 1 to Array.length tiles - 1 do
+            if compare tiles.(i - 1) tiles.(i) >= 0 then ascending := false
+          done;
+          if not (Array.for_all in_reference tiles) then
+            QCheck.Test.fail_report "a tile axis is outside the reference lists"
+          else if not !ascending then QCheck.Test.fail_report "tile array not ascending"
+          else if cfg.algorithm = algorithm && (not (in_reference (tx, ty, tz)))
+                  && not refused_tile
+          then QCheck.Test.fail_report "an axis outside the reference lists is not refused"
+          else if listed = refused_tile then QCheck.Test.fail_report "tile verdict is not make's"
           else got = Core.Search_space.validate space cfg)
 
 (* --- cost model --- *)
